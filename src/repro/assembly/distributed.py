@@ -135,6 +135,21 @@ class DistributedAssembler:
         """Equal division of the iteration space over the processes."""
         return partition_range(self.assembler.num_pairs, self.num_nodes)
 
+    def worker_job(self, part: WorkPartition) -> tuple:
+        """Argument tuple, pickled to a worker, from which :func:`_distributed_worker` assembles ``part``."""
+        return (
+            self.basis_set,
+            self.permittivity,
+            self.policy,
+            self.order_near,
+            self.order_far,
+            self.batch_size,
+            self.near_field,
+            self.use_numba,
+            part.start,
+            part.stop,
+        )
+
     def assemble(self) -> ParallelSetupResult:
         """Run the distributed-memory system-setup flow."""
         with span("assembly.assemble", flow="distributed", nodes=self.num_nodes):
@@ -185,21 +200,7 @@ class DistributedAssembler:
         self, parts: list[WorkPartition]
     ) -> tuple[list[PartialMatrix], list[ChunkResult]]:
         """Execute the non-main partitions in worker processes (Figure 6 flow)."""
-        jobs = [
-            (
-                self.basis_set,
-                self.permittivity,
-                self.policy,
-                self.order_near,
-                self.order_far,
-                self.batch_size,
-                self.near_field,
-                self.use_numba,
-                part.start,
-                part.stop,
-            )
-            for part in parts
-        ]
+        jobs = [self.worker_job(part) for part in parts]
         context = multiprocessing.get_context("fork")
         with context.Pool(processes=min(self.num_nodes, len(jobs))) as pool:
             results = pool.map(_distributed_worker, jobs)

@@ -20,20 +20,24 @@ module              H-matrix concept
                     :mod:`repro.fastcap.fmm`
 ``aca``             *adaptive cross approximation*: partially pivoted,
                     builds rank-``k`` factors ``U V`` of an admissible
-                    block from ``k`` sampled rows and columns
+                    block from ``k`` sampled rows and columns; the
+                    arithmetic is one coroutine that requests samples,
+                    driven per block or for many blocks in lockstep
 ``entries``         *matrix entry oracle*: sampled entries of the condensed
                     Galerkin matrix (sums of
                     ``GalerkinIntegrator.template_pair`` integrals), with a
                     vectorised batch path
 ``hmatrix``         *hierarchical matrix*: the assembled LinearOperator —
-                    blockwise matvec, storage accounting, worker-partitioned
-                    assembly
+                    worker-partitioned assembly with one oracle call per
+                    lockstep ACA step, products through the packed CSR
+                    near field and block-sparse far factors, storage
+                    accounting
 ``backend``         the ``galerkin-aca`` engine backend tying it together
                     with the Jacobi-preconditioned GMRES solve
 ==================  =====================================================
 """
 
-from repro.compress.aca import LowRankFactors, aca_partial_pivoting
+from repro.compress.aca import LowRankFactors, aca_core, aca_partial_pivoting
 from repro.compress.backend import GalerkinACABackend
 from repro.compress.blocktree import Block, BlockClusterTree
 from repro.compress.cluster import ClusterNode, ClusterTree
@@ -49,6 +53,7 @@ __all__ = [
     "GalerkinEntries",
     "HMatrix",
     "LowRankFactors",
+    "aca_core",
     "aca_partial_pivoting",
     "build_hmatrix",
 ]

@@ -12,17 +12,22 @@ cross is small relative to the accumulated approximation,
 
 with the Frobenius norm updated incrementally (Bebendorf's classic
 criterion), or when the rank cap is reached.
+
+The iteration is written once, as the coroutine :func:`aca_core` that
+requests samples instead of calling an oracle.  :func:`aca_partial_pivoting`
+drives it for one block; the H-matrix build drives the cores of all far
+blocks together and answers their requests with one batched oracle call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
-__all__ = ["LowRankFactors", "aca_partial_pivoting"]
+__all__ = ["LowRankFactors", "aca_core", "aca_partial_pivoting"]
 
 #: Entry oracles: ``row_fn(i)`` returns row ``i`` of the block (length n),
 #: ``col_fn(j)`` returns column ``j`` (length m).
@@ -67,31 +72,27 @@ class LowRankFactors:
         return self.u @ self.v
 
 
-def aca_partial_pivoting(
-    row_fn: RowFn,
-    col_fn: ColFn,
+#: A sample request of :func:`aca_core`: ``("row", i)`` or ``("col", j)``,
+#: indices local to the block.
+Request = tuple[str, int]
+
+
+def aca_core(
     shape: tuple[int, int],
     epsilon: float = 1e-4,
     max_rank: int = 64,
-) -> LowRankFactors:
-    """Low-rank factors of a block from row/column samples.
+) -> Generator[Request, np.ndarray, LowRankFactors]:
+    """The ACA arithmetic as a coroutine over its row/column samples.
 
-    Parameters
-    ----------
-    row_fn, col_fn:
-        Entry oracles returning one full row / column of the *original*
-        block (the residual subtraction happens here).
-    shape:
-        Block dimensions ``(m, n)``.
-    epsilon:
-        Relative stopping tolerance on the Frobenius norm of the update.
-    max_rank:
-        Hard cap on the number of crosses.
-
-    Returns
-    -------
-    :class:`LowRankFactors` whose rank is at most
-    ``min(m, n, max_rank)`` (zero for an all-zero block).
+    Yields ``("row", i)`` / ``("col", j)`` requests, receives the requested
+    row or column of the *original* block through ``send`` (the residual
+    subtraction happens here), and returns the factors as the
+    ``StopIteration`` value.  Owning no oracle, the core can be driven
+    per block (:func:`aca_partial_pivoting`) or in lockstep with the cores
+    of other blocks whose samples are fetched together
+    (:func:`repro.compress.hmatrix.build_hmatrix`); the arithmetic, and so
+    the factors, are the same either way.  Arguments are validated on the
+    first ``next()``.
     """
     m, n = int(shape[0]), int(shape[1])
     if m < 1 or n < 1:
@@ -115,7 +116,7 @@ def aca_partial_pivoting(
         residual_row = np.empty(0)
         while True:
             row_used[next_row] = True
-            residual_row = np.asarray(row_fn(next_row), dtype=float).copy()
+            residual_row = np.asarray((yield ("row", next_row)), dtype=float).copy()
             for u, v in zip(us, vs):
                 residual_row -= u[next_row] * v
             candidates = np.where(~col_used, np.abs(residual_row), -1.0)
@@ -141,7 +142,7 @@ def aca_partial_pivoting(
 
         col_used[pivot_col] = True
         v_new = residual_row / residual_row[pivot_col]
-        u_new = np.asarray(col_fn(pivot_col), dtype=float).copy()
+        u_new = np.asarray((yield ("col", pivot_col)), dtype=float).copy()
         for u, v in zip(us, vs):
             u_new -= v[pivot_col] * u
 
@@ -166,3 +167,41 @@ def aca_partial_pivoting(
     if not us:
         return LowRankFactors(u=np.zeros((m, 0)), v=np.zeros((0, n)))
     return LowRankFactors(u=np.column_stack(us), v=np.vstack(vs))
+
+
+def aca_partial_pivoting(
+    row_fn: RowFn,
+    col_fn: ColFn,
+    shape: tuple[int, int],
+    epsilon: float = 1e-4,
+    max_rank: int = 64,
+) -> LowRankFactors:
+    """Low-rank factors of a block from row/column samples.
+
+    Drives :func:`aca_core` with one oracle call per request.
+
+    Parameters
+    ----------
+    row_fn, col_fn:
+        Entry oracles returning one full row / column of the *original*
+        block (the residual subtraction happens here).
+    shape:
+        Block dimensions ``(m, n)``.
+    epsilon:
+        Relative stopping tolerance on the Frobenius norm of the update.
+    max_rank:
+        Hard cap on the number of crosses.
+
+    Returns
+    -------
+    :class:`LowRankFactors` whose rank is at most
+    ``min(m, n, max_rank)`` (zero for an all-zero block).
+    """
+    core = aca_core(shape, epsilon, max_rank)
+    try:
+        kind, index = next(core)
+        while True:
+            sample = row_fn(index) if kind == "row" else col_fn(index)
+            kind, index = core.send(sample)
+    except StopIteration as stop:
+        return stop.value

@@ -73,7 +73,7 @@ class TestPartialMatrixPipeTransfer:
         basis_set = build_basis_set(crossing_layout)
         assembler = DistributedAssembler(basis_set, permittivity, num_nodes=2)
         part = assembler.partitions()[1]  # a non-main partition (it communicates)
-        args = (basis_set, permittivity, None, 6, 3, 200_000, part.start, part.stop)
+        args = assembler.worker_job(part)
 
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)

@@ -7,8 +7,15 @@ import pytest
 
 from repro.assembly.batch import BatchGalerkinAssembler
 from repro.basis.instantiate import InstantiationConfig, build_basis_set
+from repro.compress.aca import LowRankFactors, aca_partial_pivoting
 from repro.compress.entries import GalerkinEntries
-from repro.compress.hmatrix import build_hmatrix
+from repro.compress.hmatrix import (
+    DenseBlockEntry,
+    HMatrix,
+    LowRankBlockEntry,
+    _upper_blocks,
+    build_hmatrix,
+)
 from repro.geometry import generators
 
 
@@ -188,3 +195,159 @@ class TestSymmetricStorage:
                     assert np.array_equal(np.sort(block.rows), np.sort(block.cols))
         assert np.all(coverage == 1)
         assert hmatrix.stored_entries < n * n
+
+
+class TestLockstepACA:
+    """All far blocks of a partition share one oracle call per ACA step."""
+
+    EPSILON, LEAF_SIZE, ETA = 1e-6, 8, 2.0
+
+    def _per_block_runs(self, entries):
+        """Per-block ACA driven by row/col oracles: factors and request counts."""
+        runs = []
+        for block in _upper_blocks(entries, self.LEAF_SIZE, self.ETA):
+            if not block.admissible:
+                continue
+            rows, cols = block.row.indices, block.col.indices
+            requests = [0]
+
+            def row_fn(i, rows=rows, cols=cols, requests=requests):
+                requests[0] += 1
+                return entries.row(int(rows[i]), cols)
+
+            def col_fn(j, rows=rows, cols=cols, requests=requests):
+                requests[0] += 1
+                return entries.col(rows, int(cols[j]))
+
+            factors = aca_partial_pivoting(
+                row_fn, col_fn, block.shape, epsilon=self.EPSILON, max_rank=64
+            )
+            runs.append((rows, cols, factors, requests[0]))
+        return runs
+
+    def test_factors_are_bit_identical_to_per_block_aca(self, entries):
+        hmatrix = build_hmatrix(
+            entries, epsilon=self.EPSILON, leaf_size=self.LEAF_SIZE, eta=self.ETA
+        )
+        runs = self._per_block_runs(entries)
+        assert len(runs) == len(hmatrix.lowrank_blocks) > 1
+        for block, (rows, cols, factors, _) in zip(hmatrix.lowrank_blocks, runs):
+            np.testing.assert_array_equal(block.rows, rows)
+            np.testing.assert_array_equal(block.cols, cols)
+            np.testing.assert_array_equal(block.factors.u, factors.u)
+            np.testing.assert_array_equal(block.factors.v, factors.v)
+
+    def test_oracle_calls_follow_the_longest_run(self, entries, monkeypatch):
+        runs = self._per_block_runs(entries)
+        longest = max(requests for *_, requests in runs)
+        total = sum(requests for *_, requests in runs)
+        calls = []
+        entry_values = entries.entry_values
+
+        def counted(entry_rows, entry_cols):
+            calls.append(len(entry_rows))
+            return entry_values(entry_rows, entry_cols)
+
+        monkeypatch.setattr(entries, "entry_values", counted)
+        build_hmatrix(
+            entries,
+            epsilon=self.EPSILON,
+            leaf_size=self.LEAF_SIZE,
+            eta=self.ETA,
+            executor="serial",
+        )
+        # One call for the fused near field, then one per lockstep step.
+        assert len(calls) == 1 + longest
+        assert len(calls) < total
+
+
+def _symmetric(rng, size):
+    values = rng.normal(size=(size, size))
+    return values + values.T
+
+
+def _factors(rng, m, n, k):
+    return LowRankFactors(u=rng.normal(size=(m, k)), v=rng.normal(size=(k, n)))
+
+
+def _no_far_blocks(entries, rng):
+    return build_hmatrix(entries, leaf_size=entries.num_unknowns)
+
+
+def _rank_zero_far_block(entries, rng):
+    a, b = np.array([0, 3, 5, 6]), np.array([1, 2, 4, 7])
+    return HMatrix(
+        8,
+        [
+            DenseBlockEntry(a, a, _symmetric(rng, 4)),
+            DenseBlockEntry(b, b, _symmetric(rng, 4)),
+        ],
+        [LowRankBlockEntry(a, b, _factors(rng, 4, 4, 0), mirrored=True)],
+    )
+
+
+def _mixed_mirroring(entries, rng):
+    a, b, c = np.array([0, 4, 8]), np.array([1, 5, 7, 9]), np.array([2, 3, 6])
+    return HMatrix(
+        10,
+        [
+            DenseBlockEntry(a, a, _symmetric(rng, 3)),
+            DenseBlockEntry(b, b, _symmetric(rng, 4)),
+            DenseBlockEntry(c, c, _symmetric(rng, 3)),
+            DenseBlockEntry(a, b, rng.normal(size=(3, 4)), mirrored=True),
+            DenseBlockEntry(c, b, rng.normal(size=(3, 4))),
+        ],
+        [
+            LowRankBlockEntry(a, c, _factors(rng, 3, 3, 2), mirrored=True),
+            LowRankBlockEntry(b, c, _factors(rng, 4, 3, 1)),
+        ],
+    )
+
+
+class TestPackedOperator:
+    """The packed products and diagonal agree with the block-wise dense()."""
+
+    @pytest.fixture(params=[_no_far_blocks, _rank_zero_far_block, _mixed_mirroring])
+    def operator(self, request, entries, rng):
+        return request.param(entries, rng)
+
+    def test_products_and_diagonal_match_dense(self, operator, rng):
+        dense = operator.dense()
+        x = rng.normal(size=(operator.shape[1], 3))
+        for actual, expected in (
+            (operator.matvec(x[:, 0]), dense @ x[:, 0]),
+            (operator.matmat(x), dense @ x),
+        ):
+            assert actual.shape == expected.shape
+            assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
+        np.testing.assert_array_equal(operator.diagonal(), np.diag(dense))
+
+    def test_no_far_blocks_packs_an_empty_far_field(self, entries):
+        operator = _no_far_blocks(entries, None)
+        assert not operator.lowrank_blocks
+        assert operator.far_u.shape == (operator.shape[0], 0)
+        assert operator.far_v.shape == (0, operator.shape[0])
+
+    def test_uncovered_diagonal_raises(self, rng):
+        a, b = np.array([0, 1]), np.array([2, 3])
+        operator = HMatrix(4, [DenseBlockEntry(a, a, _symmetric(rng, 2))], [])
+        with pytest.raises(RuntimeError, match="2 diagonal entries"):
+            operator.diagonal()
+        covered = HMatrix(
+            4,
+            [
+                DenseBlockEntry(a, a, _symmetric(rng, 2)),
+                DenseBlockEntry(a, b, rng.normal(size=(2, 2)), mirrored=True),
+            ],
+            [],
+        )
+        with pytest.raises(RuntimeError, match="2 diagonal entries"):
+            covered.diagonal()
+
+    def test_memory_counts_the_packed_form(self, operator):
+        packed = sum(
+            array.nbytes
+            for matrix in (operator.near, operator.far_u, operator.far_v)
+            for array in (matrix.data, matrix.indices, matrix.indptr)
+        )
+        assert operator.memory_bytes >= 8 * operator.stored_entries + packed
