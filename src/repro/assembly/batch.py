@@ -6,7 +6,8 @@ Python.  This module performs the *same* computation -- the same
 approximation-distance decisions, the same closed forms, the same
 condensation -- but evaluates the template pairs of a partition through the
 batched kernel core (:class:`repro.greens.batched.BatchedKernelCore`), which
-groups them into numpy batches by evaluation category:
+evaluates each distinct pair geometry of a numpy batch once, grouped by
+evaluation category:
 
 * ``point``        -- monopole reduction (far pairs),
 * ``collocation``  -- midpoint-rule reduction,
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.assembly.mapping import TemplateArrays, triangular_index_to_pair
 from repro.basis.functions import BasisSet
-from repro.greens.batched import BatchedKernelCore
+from repro.greens.batched import CATEGORIES, BatchedKernelCore
 from repro.greens.policy import ApproximationPolicy
 from repro.obs import clock
 from repro.obs.metrics import counter
@@ -43,7 +44,12 @@ _BATCHES = counter(
 )
 _PAIRS = counter(
     "repro_assembly_pairs_total",
-    "Template pairs evaluated, by kernel evaluation category",
+    "Template pairs requested from the kernel core, by kernel evaluation category",
+    ("category",),
+)
+_PAIRS_EVALUATED = counter(
+    "repro_assembly_pairs_evaluated_total",
+    "Template-pair integrals evaluated (one per distinct pair key), by kernel evaluation category",
     ("category",),
 )
 
@@ -61,29 +67,42 @@ def symmetrize_upper(upper: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ChunkResult:
-    """Outcome of assembling one partition (chunk) of the iteration space."""
+    """Outcome of assembling one partition (chunk) of the iteration space.
+
+    ``category_counts`` are the template pairs the chunk *requested* per
+    evaluation category (they sum to :attr:`num_pairs`);
+    ``evaluated_counts`` the integrals the kernel core actually evaluated,
+    one per distinct pair key of each batch (see
+    :mod:`repro.greens.batched`).
+    """
 
     start: int
     stop: int
     elapsed_seconds: float
     category_counts: dict[str, int] = field(default_factory=dict)
+    evaluated_counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def num_pairs(self) -> int:
-        """Number of template pairs evaluated in this chunk."""
+        """Number of template pairs requested in this chunk."""
         return self.stop - self.start
 
+    @property
+    def num_evaluated(self) -> int:
+        """Number of template-pair integrals evaluated in this chunk."""
+        return sum(self.evaluated_counts.values())
+
     def predicted_seconds(self, unit_costs: dict[str, float]) -> float:
-        """Workload-model time of the chunk: per-category counts times unit costs.
+        """Workload-model time of the chunk: evaluated counts times unit costs.
 
         Used by the simulated parallel machine to remove wall-clock noise:
         the unit costs are calibrated from a measured single-node run, so the
-        prediction reflects the partition's actual work mix (the source of
-        load imbalance) rather than transient scheduler jitter.
+        prediction reflects the kernel work the partition really does (the
+        source of load imbalance) rather than transient scheduler jitter.
         """
         return sum(
             count * unit_costs.get(category, 0.0)
-            for category, count in self.category_counts.items()
+            for category, count in self.evaluated_counts.items()
         )
 
     def with_elapsed(self, elapsed_seconds: float) -> "ChunkResult":
@@ -93,6 +112,7 @@ class ChunkResult:
             stop=self.stop,
             elapsed_seconds=elapsed_seconds,
             category_counts=dict(self.category_counts),
+            evaluated_counts=dict(self.evaluated_counts),
         )
 
 
@@ -185,7 +205,8 @@ class BatchGalerkinAssembler:
             :func:`symmetrize_upper`).
 
         Returns the accumulated matrix and a :class:`ChunkResult` with the
-        wall-clock time and the per-category pair counts of the chunk.
+        wall-clock time and the per-category requested and evaluated pair
+        counts of the chunk.
         """
         if condense_mode not in ("full", "upper"):
             raise ValueError(f"condense_mode must be 'full' or 'upper', got {condense_mode!r}")
@@ -194,27 +215,31 @@ class BatchGalerkinAssembler:
         n = self.num_basis_functions
         if out is None:
             out = np.zeros((n, n))
-        counts: dict[str, int] = {
-            "point": 0,
-            "collocation": 0,
-            "parallel": 0,
-            "orthogonal": 0,
-            "profiled": 0,
-        }
+        counts = dict.fromkeys(CATEGORIES, 0)
+        evaluated = dict.fromkeys(CATEGORIES, 0)
         t_begin = clock.now()
         num_batches = 0
         for batch_start in range(start, stop, self.batch_size):
             batch_stop = min(batch_start + self.batch_size, stop)
-            k = np.arange(batch_start, batch_stop, dtype=np.int64)
-            self._assemble_batch(k, out, counts, condense_mode)
+            i, j = triangular_index_to_pair(
+                np.arange(batch_start, batch_stop, dtype=np.int64)
+            )
+            values = self.core.evaluate_pairs(i, j, counts=counts, evaluated=evaluated)
+            self._condense(i, j, values, out, condense_mode)
             num_batches += 1
         elapsed = clock.now() - t_begin
         _BATCHES.inc(num_batches)
-        for category, count in counts.items():
-            if count:
-                _PAIRS.inc(count, category=category)
+        for category in CATEGORIES:
+            if counts[category]:
+                _PAIRS.inc(counts[category], category=category)
+            if evaluated[category]:
+                _PAIRS_EVALUATED.inc(evaluated[category], category=category)
         return out, ChunkResult(
-            start=start, stop=stop, elapsed_seconds=elapsed, category_counts=counts
+            start=start,
+            stop=stop,
+            elapsed_seconds=elapsed,
+            category_counts=counts,
+            evaluated_counts=evaluated,
         )
 
     def chunk_column_range(self, start: int, stop: int) -> tuple[int, int]:
@@ -236,14 +261,6 @@ class BatchGalerkinAssembler:
     # ------------------------------------------------------------------
     # Batch machinery
     # ------------------------------------------------------------------
-    def _assemble_batch(
-        self, k: np.ndarray, out: np.ndarray, counts: dict[str, int], condense_mode: str = "full"
-    ) -> None:
-        """Evaluate one numpy batch of template pairs and condense into ``out``."""
-        i, j = triangular_index_to_pair(k)
-        values = self.evaluate_pairs(i, j, counts=counts)
-        self._condense(i, j, values, out, condense_mode)
-
     def evaluate_pairs(
         self, i: np.ndarray, j: np.ndarray, counts: dict[str, int] | None = None
     ) -> np.ndarray:
@@ -254,7 +271,8 @@ class BatchGalerkinAssembler:
         rows and columns of the condensed matrix through this entry point.
         The values include the kernel prefactor and are identical (to
         round-off) with per-pair :meth:`GalerkinIntegrator.template_pair`
-        calls.
+        calls.  ``counts`` accumulates the requested pairs per evaluation
+        category.
         """
         return self.core.evaluate_pairs(i, j, counts=counts)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.assembly.batch import BatchGalerkinAssembler, ChunkResult, symmetrize_upper
 from repro.assembly.partition import WorkPartition, partition_range
-from repro.assembly.shared_memory import ParallelSetupResult
+from repro.assembly.shared_memory import ParallelSetupResult, record_work
 from repro.basis.functions import BasisSet
 from repro.greens.policy import ApproximationPolicy
 from repro.obs.trace import span
@@ -152,7 +152,7 @@ class DistributedAssembler:
 
     def assemble(self) -> ParallelSetupResult:
         """Run the distributed-memory system-setup flow."""
-        with span("assembly.assemble", flow="distributed", nodes=self.num_nodes):
+        with span("assembly.assemble", flow="distributed", nodes=self.num_nodes) as assemble_span:
             parts = self.partitions()
             if self.use_processes and self.num_nodes > 1:
                 partials, node_results = self._run_with_processes(parts)
@@ -169,12 +169,13 @@ class DistributedAssembler:
                 upper[:, partial.first_column : partial.last_column + 1] += partial.block
                 if index > 0:
                     communication_bytes.append(partial.nbytes)
-            matrix = symmetrize_upper(upper)
-            return ParallelSetupResult(
-                matrix=matrix,
+            result = ParallelSetupResult(
+                matrix=symmetrize_upper(upper),
                 node_results=node_results,
                 communication_bytes=communication_bytes,
             )
+            record_work(assemble_span, result)
+            return result
 
     # ------------------------------------------------------------------
     def _run_sequentially(

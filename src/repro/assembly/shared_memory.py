@@ -29,7 +29,7 @@ from repro.assembly.batch import BatchGalerkinAssembler, ChunkResult
 from repro.assembly.partition import WorkPartition, partition_range
 from repro.basis.functions import BasisSet
 from repro.greens.policy import ApproximationPolicy
-from repro.obs.trace import span
+from repro.obs.trace import Span, span
 
 __all__ = ["ParallelSetupResult", "SharedMemoryAssembler"]
 
@@ -45,8 +45,11 @@ class ParallelSetupResult:
     node_results:
         One :class:`ChunkResult` per node (workload and measured time).
     communication_bytes:
-        Bytes each non-main node sends to the main process (zero in the
-        shared-memory flow; the partial-matrix size in the distributed flow).
+        Bytes each node sends to the main process.  Shared-memory flow: the
+        full ``N x N`` partial matrix each worker process pickles back, and
+        zero when the partitions run in-process.  Distributed flow: the
+        column block each non-main node sends (zero for the main node),
+        also recorded when the flow runs in-process as a model.
     """
 
     matrix: np.ndarray
@@ -75,6 +78,17 @@ class ParallelSetupResult:
             return 1.0
         mean = self.total_node_seconds / self.num_nodes
         return self.max_node_seconds / mean if mean > 0.0 else 1.0
+
+
+def record_work(assemble_span: Span | None, result: ParallelSetupResult) -> None:
+    """Attach the work and traffic of a setup run to its ``assembly.assemble`` span."""
+    if assemble_span is None:
+        return
+    assemble_span.attributes.update(
+        pairs=sum(r.num_pairs for r in result.node_results),
+        pairs_evaluated=sum(r.num_evaluated for r in result.node_results),
+        communication_bytes=sum(result.communication_bytes),
+    )
 
 
 def _shared_worker(args) -> tuple[np.ndarray, ChunkResult]:
@@ -165,10 +179,15 @@ class SharedMemoryAssembler:
 
     def assemble(self) -> ParallelSetupResult:
         """Run the shared-memory system-setup flow."""
-        with span("assembly.assemble", flow="shared_memory", nodes=self.num_nodes):
+        with span(
+            "assembly.assemble", flow="shared_memory", nodes=self.num_nodes
+        ) as assemble_span:
             if self.use_processes and self.num_nodes > 1:
-                return self._assemble_with_processes()
-            return self._assemble_sequentially()
+                result = self._assemble_with_processes()
+            else:
+                result = self._assemble_sequentially()
+            record_work(assemble_span, result)
+            return result
 
     # ------------------------------------------------------------------
     def _assemble_sequentially(self) -> ParallelSetupResult:
@@ -207,12 +226,14 @@ class SharedMemoryAssembler:
         matrix = np.zeros((n, n))
         node_results: list[ChunkResult] = []
         context = multiprocessing.get_context("fork")
+        communication_bytes: list[int] = []
         with context.Pool(processes=min(self.num_nodes, len(jobs))) as pool:
             for partial, result in pool.map(_shared_worker, jobs):
                 matrix += partial
                 node_results.append(result)
+                communication_bytes.append(int(partial.nbytes))
         return ParallelSetupResult(
             matrix=matrix,
             node_results=node_results,
-            communication_bytes=[0] * self.num_nodes,
+            communication_bytes=communication_bytes,
         )

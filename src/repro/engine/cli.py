@@ -203,6 +203,7 @@ def _command_scale(args: argparse.Namespace) -> int:
 def _command_kernel(args: argparse.Namespace) -> int:
     from repro.engine.kernel_bench import (
         BENCH_KERNEL_FILENAME,
+        agreement_failures,
         run_kernel_bench,
         write_kernel_json,
     )
@@ -222,7 +223,10 @@ def _command_kernel(args: argparse.Namespace) -> int:
         report, args.output if args.output is not None else BENCH_KERNEL_FILENAME
     )
     print(f"\nwrote {target}")
-    return 0
+    failures = agreement_failures(report)
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _command_solver(args: argparse.Namespace) -> int:

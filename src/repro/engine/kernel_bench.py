@@ -12,11 +12,15 @@ system-setup inner loop on sized crossing-bus basis sets:
   (:class:`~repro.greens.batched.BatchedKernelCore`), timed on the complete
   assembly through :class:`~repro.assembly.batch.BatchGalerkinAssembler`.
 
-Alongside the timings the sweep records the maximum absolute disagreement
-between the two paths on the sampled pairs — the batched core must
-reproduce the entry-wise values to ``<= 1e-10`` — and, when requested, the
-timing of the approximate ``near_field="table"`` mode (whose error is
-bounded by the table interpolation, not by round-off).
+Alongside the timings the sweep records, per size, the template pairs the
+assembly requested and the integrals the kernel core evaluated (one per
+distinct pair key), and the largest *relative* disagreement between the
+values the full assembly produced for the sampled pairs and the entry-wise
+reference.  That disagreement must stay within
+:data:`KERNEL_AGREEMENT_BOUND`; ``python -m repro kernel`` exits non-zero
+otherwise.  When requested, the sweep also times the approximate
+``near_field="table"`` mode (whose error is bounded by the table
+interpolation, not by round-off, and is not gated).
 
 The report's ``data`` payload is written to ``BENCH_kernel.json`` by
 ``python -m repro kernel``.
@@ -40,13 +44,19 @@ from repro.greens.policy import ApproximationPolicy
 
 __all__ = [
     "BENCH_KERNEL_FILENAME",
+    "KERNEL_AGREEMENT_BOUND",
     "KERNEL_SWEEP_SIZES",
+    "agreement_failures",
     "run_kernel_bench",
     "write_kernel_json",
 ]
 
 #: Default name of the machine-readable kernel artifact.
 BENCH_KERNEL_FILENAME = "BENCH_kernel.json"
+
+#: Largest relative disagreement allowed between a batched pair value and
+#: the entry-wise reference.
+KERNEL_AGREEMENT_BOUND = 1e-10
 
 #: Default quick/full bus sizes (matched to the compression sweep so the
 #: bus4x4 entry lines up with BENCH_compress.json).
@@ -134,12 +144,17 @@ def run_kernel_bench(
         entrywise_estimated = entry_us_per_pair * num_pairs * 1e-6
 
         start = time.perf_counter()
-        matrix = assembler.assemble()
+        matrix, chunk = assembler.assemble_chunk(0, num_pairs)
         batched_seconds = time.perf_counter() - start
 
-        i_idx, j_idx = triangular_index_to_pair(sample)
-        batched_values = assembler.evaluate_pairs(i_idx, j_idx)
-        max_abs_diff = float(np.max(np.abs(batched_values - entry_values)))
+        # A pair's value is a pure function of its key, so evaluating the
+        # whole iteration space again yields exactly the values the
+        # assembly summed; the sampled ones are compared.
+        all_i, all_j = triangular_index_to_pair(np.arange(num_pairs))
+        batched_values = assembler.evaluate_pairs(all_i, all_j)[sample]
+        max_rel_diff = float(
+            np.max(np.abs(batched_values - entry_values) / np.abs(entry_values))
+        )
 
         record = {
             "num_basis_functions": basis_set.num_basis_functions,
@@ -150,7 +165,9 @@ def run_kernel_bench(
             "entrywise_seconds_estimated": entrywise_estimated,
             "batched_seconds": batched_seconds,
             "speedup": entrywise_estimated / batched_seconds,
-            "max_abs_diff": max_abs_diff,
+            "requested_pairs": chunk.num_pairs,
+            "evaluated_pairs": chunk.num_evaluated,
+            "max_rel_diff": max_rel_diff,
             "jit_active": assembler.core.jit_active,
         }
         if include_table:
@@ -177,12 +194,23 @@ def run_kernel_bench(
                 f"{entrywise_estimated:.3f}",
                 f"{batched_seconds:.3f}",
                 f"{record['speedup']:.1f}x",
-                f"{max_abs_diff:.1e}",
+                str(chunk.num_evaluated),
+                f"{max_rel_diff:.1e}",
             ]
         )
 
     text = format_table(
-        ["layout", "N", "pairs", "us/pair", "entrywise est (s)", "batched (s)", "speedup", "max |diff|"],
+        [
+            "layout",
+            "N",
+            "pairs",
+            "us/pair",
+            "entrywise est (s)",
+            "batched (s)",
+            "speedup",
+            "evaluated",
+            "max rel diff",
+        ],
         rows,
         title="Assembly kernel: entry-wise vs batched",
     )
@@ -195,6 +223,15 @@ def run_kernel_bench(
         "entries": entries,
     }
     return ExperimentReport(name="kernel", text=text, data=data)
+
+
+def agreement_failures(report: ExperimentReport) -> list[str]:
+    """Sizes whose batched values disagree with the reference beyond the bound."""
+    return [
+        f"{label}: max relative difference {entry['max_rel_diff']:.3e} > {KERNEL_AGREEMENT_BOUND:.0e}"
+        for label, entry in report.data["entries"].items()
+        if not entry["max_rel_diff"] <= KERNEL_AGREEMENT_BOUND
+    ]
 
 
 def write_kernel_json(report: ExperimentReport, path: str | Path | None = None) -> Path:

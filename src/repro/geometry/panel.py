@@ -41,6 +41,16 @@ def tangential_axes(normal_axis: int) -> tuple[int, int]:
     return axes[0], axes[1]
 
 
+def _length(vector: np.ndarray) -> float:
+    """Euclidean length with the arithmetic of a row-wise ``norm(..., axis=1)``.
+
+    The batched kernel core measures whole arrays of pairs row-wise; taking
+    the per-pair distances the same way (not through ``norm``'s BLAS dot)
+    makes both take the same side of a threshold a distance sits on.
+    """
+    return float(np.sqrt(np.add.reduce(vector * vector)))
+
+
 @dataclass(frozen=True)
 class Panel:
     """An axis-aligned rectangle in 3-D space.
@@ -209,7 +219,7 @@ class Panel:
 
     def centroid_distance(self, other: "Panel") -> float:
         """Euclidean distance between the two panel centroids."""
-        return float(np.linalg.norm(self.centroid - other.centroid))
+        return _length(self.centroid - other.centroid)
 
     def separation(self, other: "Panel") -> float:
         """Minimum distance between the two panel bounding boxes.
@@ -220,7 +230,7 @@ class Panel:
         lo_a, hi_a = self.bounds()
         lo_b, hi_b = other.bounds()
         gap = np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a))
-        return float(np.linalg.norm(gap))
+        return _length(gap)
 
     # ------------------------------------------------------------------
     # Refinement

@@ -41,19 +41,20 @@ def calibrate_unit_costs(node_results: Sequence[ChunkResult]) -> dict[str, float
     """Fit per-category template-pair costs from measured chunk timings.
 
     A non-negative least-squares fit of the chunks' wall-clock times against
-    their per-category pair counts yields the cost of one template-pair
-    evaluation in every category.  The simulated parallel machine then
-    predicts every partition's compute time from its category counts, which
-    removes scheduler jitter from the efficiency figures while keeping the
-    prediction anchored to measured costs (see DESIGN.md).
+    their per-category *evaluated* counts (one per distinct pair key, see
+    :class:`~repro.assembly.batch.ChunkResult`) yields the cost of one
+    template-pair integral in every category.  The simulated parallel
+    machine then predicts every partition's compute time from its evaluated
+    counts, which removes scheduler jitter from the efficiency figures while
+    charging each partition for the kernel work it really does.
     """
     from scipy.optimize import nnls
 
     if not node_results:
         raise ValueError("unit-cost calibration needs at least one measured chunk")
-    categories = sorted({c for r in node_results for c in r.category_counts})
+    categories = sorted({c for r in node_results for c in r.evaluated_counts})
     design = np.array(
-        [[r.category_counts.get(c, 0) for c in categories] for r in node_results],
+        [[r.evaluated_counts.get(c, 0) for c in categories] for r in node_results],
         dtype=float,
     )
     elapsed = np.array([r.elapsed_seconds for r in node_results])

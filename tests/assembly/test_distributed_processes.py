@@ -25,6 +25,7 @@ from repro.assembly.batch import ChunkResult
 from repro.assembly.distributed import PartialMatrix, _distributed_worker
 from repro.basis import build_basis_set
 from repro.engine import get_backend
+from repro.obs.trace import start_trace
 
 pytestmark = [
     pytest.mark.multiprocess,
@@ -65,7 +66,23 @@ class TestProcessPools:
             basis_set, permittivity, num_nodes=2, use_processes=True
         ).assemble()
         np.testing.assert_allclose(result.matrix, reference, rtol=1e-12)
-        assert result.communication_bytes == [0, 0]
+        # Every worker pickles its full N x N float64 partial back.
+        n = basis_set.num_basis_functions
+        assert result.communication_bytes == [8 * n * n, 8 * n * n]
+
+    def test_shared_pool_traffic_and_work_on_span(self, crossing_layout, permittivity):
+        basis_set = build_basis_set(crossing_layout)
+        with start_trace() as trace:
+            result = SharedMemoryAssembler(
+                basis_set, permittivity, num_nodes=2, use_processes=True
+            ).assemble()
+        (assemble,) = [s for s in trace.spans if s.name == "assembly.assemble"]
+        assert assemble.attributes["communication_bytes"] == sum(result.communication_bytes) > 0
+        assert assemble.attributes["pairs"] == sum(r.num_pairs for r in result.node_results)
+        assert assemble.attributes["pairs_evaluated"] == sum(
+            r.num_evaluated for r in result.node_results
+        )
+        assert 0 < assemble.attributes["pairs_evaluated"] <= assemble.attributes["pairs"]
 
 
 class TestPartialMatrixPipeTransfer:
