@@ -12,7 +12,8 @@ Layout of the package:
 
 * :mod:`repro.frw.scene` — flatten a layout into the arrays the sampler
   needs; build per-conductor Gaussian surfaces.
-* :mod:`repro.frw.walks` — one vectorised batch of walks.
+* :mod:`repro.frw.walks` — vectorised walks, a lockstep group of batches
+  at a time.
 * :mod:`repro.frw.estimator` — deterministic batch scheduling, process
   fan-out, mean/standard-error statistics.
 * :mod:`repro.frw.backend` — the ``frw`` engine backend.
@@ -23,15 +24,17 @@ from __future__ import annotations
 from repro.frw.backend import FRWBackend
 from repro.frw.estimator import FRWEstimate, estimate_capacitance
 from repro.frw.scene import GaussianSurface, WalkScene, build_scene
-from repro.frw.walks import WalkBatchResult, run_walk_batch
+from repro.frw.walks import WalkBatchResult, WalkGroupResult, run_walk_batch, run_walk_batches
 
 __all__ = [
     "FRWBackend",
     "FRWEstimate",
     "GaussianSurface",
     "WalkBatchResult",
+    "WalkGroupResult",
     "WalkScene",
     "build_scene",
     "estimate_capacitance",
     "run_walk_batch",
+    "run_walk_batches",
 ]

@@ -18,23 +18,30 @@ Two stopping modes share that machinery:
   the stopping decision reads only merged statistics, so the adaptive
   schedule is also identical for every worker count.
 
-Walk batches are embarrassingly parallel: with ``num_workers > 1`` they
-fan out over a ``fork`` pool (the worker-tuple idiom of the parallel
-assemblers), each worker timing itself and shipping its
-:class:`~repro.frw.walks.WalkBatchResult` back over the pipe; the parent
-re-attaches the timings as ``frw.batch`` spans and feeds the walk/hop
-counters.
+Each round is cut into contiguous *groups* of batches that walk in
+lockstep (:func:`~repro.frw.walks.run_walk_batches`): serially the whole
+round is one group; with ``num_workers > 1`` the round is split into at
+most ``num_workers`` groups that fan out over one ``fork`` pool opened for
+the whole estimate (the worker-tuple idiom of the parallel assemblers,
+shipping the scene once per group).  Groups are further capped at
+``_GROUP_WALK_BOXES`` walks x scene boxes, which bounds the distance
+oracle's temporaries.  Which group a batch runs in never changes its
+result.  Each group is timed where it ran; the parent re-attaches the
+timings as ``frw.group`` spans and feeds the walk/hop counters.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 from dataclasses import dataclass
+from multiprocessing.pool import Pool
+from typing import Any
 
 import numpy as np
 
 from repro.frw.scene import WalkScene
-from repro.frw.walks import WalkBatchResult, run_walk_batch
+from repro.frw.walks import WalkBatchResult, WalkGroupResult, run_walk_batches
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import record_span
 
@@ -49,10 +56,15 @@ _HOPS_TOTAL = counter(
     "repro_frw_hops_total",
     "Total sphere hops taken by floating-random-walk walkers.",
 )
-_BATCH_SECONDS = histogram(
-    "repro_frw_batch_seconds",
-    "Wall time of one floating-random-walk batch, measured in its worker.",
+_GROUP_SECONDS = histogram(
+    "repro_frw_group_seconds",
+    "Wall time of one lockstep group of floating-random-walk batches, measured in its worker.",
 )
+
+#: Cap on walks x scene boxes per lockstep group.  The distance oracle
+#: holds a few ``(walks, boxes, 3)`` float64 temporaries, ~1.5 MB each at
+#: the cap.
+_GROUP_WALK_BOXES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,8 +94,9 @@ class FRWEstimate:
     hops:
         Total sphere hops per source conductor.
     walk_seconds:
-        Summed in-worker batch wall time (CPU-seconds of walking; under a
-        process pool this exceeds the elapsed wall clock).
+        Summed wall time of the lockstep walk groups, each measured where
+        it ran (CPU-seconds of walking; under a process pool this exceeds
+        the elapsed wall clock).
     rel_std:
         Matrix-level relative standard error,
         ``||stderr||_F / ||capacitance||_F`` — the quantity the adaptive
@@ -106,13 +119,13 @@ class FRWEstimate:
     num_batches: np.ndarray
 
 
-def _batch_worker(job: tuple) -> WalkBatchResult:
-    """Fork-pool entry point: rebuild the generator, run one batch."""
-    scene, source, size, seed_key, antithetic, max_hops = job
-    rng = np.random.default_rng(seed_key)
-    return run_walk_batch(
-        scene, source, size, rng, antithetic=antithetic, max_hops=max_hops
-    )
+def _group_worker(job: tuple) -> WalkGroupResult:
+    """Fork-pool entry point: rebuild the batch generators, walk one group."""
+    scene, batches, antithetic, max_hops = job
+    specs = [
+        (source, size, np.random.default_rng(seed_key)) for source, size, seed_key in batches
+    ]
+    return run_walk_batches(scene, specs, antithetic, max_hops)
 
 
 def _batch_sizes(num_walks: int, batch_size: int, antithetic: bool) -> list[int]:
@@ -144,7 +157,6 @@ class _RowAccumulator:
         self.truncated = 0
         self.buried = 0
         self.hops = 0
-        self.seconds = 0.0
         self.batches = 0
 
     def add(self, result: WalkBatchResult, walks: int) -> None:
@@ -157,7 +169,6 @@ class _RowAccumulator:
         self.truncated += result.truncated
         self.buried += result.buried
         self.hops += result.hops
-        self.seconds += result.seconds
         self.batches += 1
 
     def mean(self) -> np.ndarray:
@@ -172,34 +183,53 @@ class _RowAccumulator:
         return np.sqrt(variance / self.samples)
 
 
-def _run_batches(
-    scene: WalkScene,
-    jobs: list[tuple],
-    num_workers: int,
-) -> list[WalkBatchResult]:
-    """Run a list of batch jobs serially or on a fork pool (in job order)."""
-    if num_workers <= 1 or len(jobs) <= 1:
-        results = [_batch_worker(job) for job in jobs]
+def _groups(batches: list[tuple], num_parts: int, num_boxes: int) -> list[list[tuple]]:
+    """Cut a round's ``(source, size, seed_key)`` batches into lockstep groups.
+
+    At most ``num_parts`` contiguous parts of near-equal batch counts, each
+    cut again wherever it would exceed ``_GROUP_WALK_BOXES`` walks x boxes
+    (a single larger batch still forms its own group).
+    """
+    groups: list[list[tuple]] = []
+    for part in np.array_split(np.arange(len(batches)), min(num_parts, len(batches))):
+        group: list[tuple] = []
+        walks = 0
+        for index in part:
+            size = batches[index][1]
+            if group and (walks + size) * num_boxes > _GROUP_WALK_BOXES:
+                groups.append(group)
+                group, walks = [], 0
+            group.append(batches[index])
+            walks += size
+        groups.append(group)
+    return groups
+
+
+def _run_groups(jobs: list[tuple], pool: Pool | None) -> list[WalkGroupResult]:
+    """Run group jobs in-process or on the pool (in job order), with telemetry."""
+    if pool is None:
+        results = [_group_worker(job) for job in jobs]
         executor = "serial"
     else:
-        context = multiprocessing.get_context("fork")
-        with context.Pool(processes=num_workers) as pool:
-            results = pool.map(_batch_worker, jobs)
+        results = pool.map(_group_worker, jobs)
         executor = "process"
     for job, result in zip(jobs, results):
+        batches = result.batches
         record_span(
-            "frw.batch",
+            "frw.group",
             result.seconds,
-            source=int(job[1]),
-            walks=int(job[2]),
+            batches=len(batches),
+            walks=sum(size for _, size, _ in job[1]),
+            hops=result.hops,
+            steps=result.steps,
             executor=executor,
         )
-        _WALKS_TOTAL.inc(float(result.hits.sum()), outcome="hit")
-        _WALKS_TOTAL.inc(float(result.escaped), outcome="escaped")
-        _WALKS_TOTAL.inc(float(result.truncated), outcome="truncated")
-        _WALKS_TOTAL.inc(float(result.buried), outcome="buried")
+        _WALKS_TOTAL.inc(float(sum(int(b.hits.sum()) for b in batches)), outcome="hit")
+        _WALKS_TOTAL.inc(float(sum(b.escaped for b in batches)), outcome="escaped")
+        _WALKS_TOTAL.inc(float(sum(b.truncated for b in batches)), outcome="truncated")
+        _WALKS_TOTAL.inc(float(sum(b.buried for b in batches)), outcome="buried")
         _HOPS_TOTAL.inc(float(result.hops))
-        _BATCH_SECONDS.observe(result.seconds)
+        _GROUP_SECONDS.observe(result.seconds)
     return results
 
 
@@ -266,27 +296,36 @@ def estimate_capacitance(
 
     rows = [_RowAccumulator(scene.num_conductors) for _ in range(scene.num_conductors)]
     round_sizes = _batch_sizes(num_walks, batch_size, antithetic)
+    parallel = num_workers > 1 and scene.num_conductors * len(round_sizes) > 1
+    walk_seconds = 0.0
 
-    def submit_round(round_index: int) -> None:
-        jobs = []
-        for source in range(scene.num_conductors):
-            base = rows[source].batches
-            for offset, size in enumerate(round_sizes):
-                seed_key = (seed, source, base + offset)
-                jobs.append((scene, source, size, seed_key, antithetic, max_hops))
-        results = _run_batches(scene, jobs, num_workers)
-        for job, result in zip(jobs, results):
-            rows[job[1]].add(result, walks=job[2])
+    def run_round(pool: Pool | None) -> None:
+        nonlocal walk_seconds
+        batches = [
+            (source, size, (seed, source, rows[source].batches + offset))
+            for source in range(scene.num_conductors)
+            for offset, size in enumerate(round_sizes)
+        ]
+        groups = _groups(batches, num_workers if parallel else 1, scene.box_lo.shape[0])
+        jobs = [(scene, group, antithetic, max_hops) for group in groups]
+        for group, result in zip(groups, _run_groups(jobs, pool)):
+            walk_seconds += result.seconds
+            for (source, size, _), batch in zip(group, result.batches):
+                rows[source].add(batch, walks=size)
 
-    submit_round(0)
-    if target_rel_std is not None:
-        round_index = 1
-        while (
-            _relative_std(rows) > target_rel_std
-            and rows[0].walks + sum(round_sizes) <= max_walks
-        ):
-            submit_round(round_index)
-            round_index += 1
+    pool_context: contextlib.AbstractContextManager[Any] = (
+        multiprocessing.get_context("fork").Pool(processes=num_workers)
+        if parallel
+        else contextlib.nullcontext()
+    )
+    with pool_context as pool:
+        run_round(pool)
+        if target_rel_std is not None:
+            while (
+                _relative_std(rows) > target_rel_std
+                and rows[0].walks + sum(round_sizes) <= max_walks
+            ):
+                run_round(pool)
 
     capacitance = np.stack([row.mean() for row in rows])
     stderr = np.stack([row.stderr() for row in rows])
@@ -300,7 +339,7 @@ def estimate_capacitance(
         truncated=np.asarray([row.truncated for row in rows], dtype=np.int64),
         buried=np.asarray([row.buried for row in rows], dtype=np.int64),
         hops=np.asarray([row.hops for row in rows], dtype=np.int64),
-        walk_seconds=float(sum(row.seconds for row in rows)),
+        walk_seconds=walk_seconds,
         rel_std=_relative_std(rows),
         num_batches=np.asarray([row.batches for row in rows], dtype=np.int64),
     )

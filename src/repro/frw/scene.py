@@ -9,9 +9,9 @@ the *Gaussian surface* the walks launch from: every box of the conductor
 inflated outward by a clearance ``delta`` chosen so the surface encloses
 the source conductor and nothing else.
 
-Everything here is picklable (arrays and floats only), because walk
-batches are fanned out to fork-pool workers that rebuild nothing: the
-scene travels over the pipe once per worker.
+Everything here is picklable (arrays and floats only), because groups of
+walk batches are fanned out to fork-pool workers that rebuild nothing: the
+scene travels over the pipe once per group.
 """
 
 from __future__ import annotations
@@ -158,10 +158,8 @@ class WalkScene:
         Euclidean distance to the closest conductor box and the conductor
         index that box belongs to.
         """
-        gap = np.maximum(
-            self.box_lo[None, :, :] - points[:, None, :],
-            points[:, None, :] - self.box_hi[None, :, :],
-        )
+        gap = self.box_lo[None, :, :] - points[:, None, :]
+        np.maximum(gap, points[:, None, :] - self.box_hi[None, :, :], out=gap)
         np.maximum(gap, 0.0, out=gap)
         per_box = np.sqrt(np.einsum("wbk,wbk->wb", gap, gap))
         nearest_box = np.argmin(per_box, axis=1)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import multiprocessing.pool
+
 import numpy as np
 import pytest
 
+from repro.frw import estimator as estimator_module
 from repro.frw.estimator import estimate_capacitance
 from repro.frw.scene import build_scene
 from repro.geometry.conductor import Box, Conductor
 from repro.geometry.layout import Layout
+from repro.obs.trace import start_trace
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +128,28 @@ class TestAdaptiveMode:
         assert estimate.num_walks[0] > 256
         assert estimate.num_walks[0] % 256 == 0  # whole rounds only
 
+    @pytest.mark.multiprocess
+    def test_rounds_share_one_pool(self, scene, monkeypatch):
+        opened = []
+        init = multiprocessing.pool.Pool.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            opened.append(pool)
+            init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
+        estimate = estimate_capacitance(
+            scene,
+            num_walks=256,
+            batch_size=128,
+            target_rel_std=0.08,
+            max_walks=65536,
+            seed=4,
+            num_workers=2,
+        )
+        assert estimate.num_walks[0] > 256  # several rounds ...
+        assert len(opened) == 1  # ... on one pool
+
     def test_walk_cap_bounds_the_budget(self, scene):
         estimate = estimate_capacitance(
             scene,
@@ -135,3 +161,30 @@ class TestAdaptiveMode:
         )
         assert estimate.num_walks[0] <= 1024
         assert estimate.rel_std > 1e-9
+
+
+class TestTelemetry:
+    def test_serial_round_is_one_group_span(self, scene):
+        observed = estimator_module._GROUP_SECONDS.count()
+        with start_trace("frw") as trace:
+            estimate = estimate_capacitance(scene, num_walks=512, batch_size=128, seed=1)
+        groups = [s for s in trace.spans if s.name == "frw.group"]
+        assert len(groups) == 1  # serially the whole round walks as one group
+        attributes = groups[0].attributes
+        assert attributes["batches"] == 8  # 2 conductors x 4 batches
+        assert attributes["walks"] == 1024
+        assert attributes["hops"] == int(estimate.hops.sum())
+        assert 0 < attributes["steps"] <= attributes["hops"]
+        assert estimate.walk_seconds == pytest.approx(groups[0].seconds)
+        assert estimator_module._GROUP_SECONDS.count() == observed + 1
+
+    @pytest.mark.multiprocess
+    def test_pool_round_splits_into_worker_groups(self, scene):
+        with start_trace("frw") as trace:
+            estimate = estimate_capacitance(
+                scene, num_walks=512, batch_size=128, seed=1, num_workers=2
+            )
+        groups = [s for s in trace.spans if s.name == "frw.group"]
+        assert [g.attributes["batches"] for g in groups] == [4, 4]
+        assert all(g.attributes["executor"] == "process" for g in groups)
+        assert sum(g.attributes["hops"] for g in groups) == int(estimate.hops.sum())
