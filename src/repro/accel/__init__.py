@@ -16,11 +16,9 @@ integrals, on top of (and orthogonally to) the parallelisation:
    in for the STINS optimiser of the paper.
 
 :mod:`repro.accel.engine` wires a chosen technique into the Galerkin
-integrator used by the system-setup step.  :mod:`repro.accel.jit` holds the
-optional numba compilations of the innermost closed forms used by the
-batched kernel core (:mod:`repro.greens.batched`), and
-:class:`~repro.accel.tabulation.GalerkinIndefiniteTableEvaluator` backs its
-``near_field="table"`` mode.
+integrator used by the system-setup step: the evaluator is passed as the
+``collocation_fn`` of the batched kernel core (:mod:`repro.greens.batched`),
+which otherwise uses the exact closed forms.
 """
 
 from repro.accel.engine import (
@@ -29,12 +27,7 @@ from repro.accel.engine import (
     make_evaluator,
 )
 from repro.accel.fastmath import FastLog, FastAtan, FastAsinh
-from repro.accel.jit import NUMBA_AVAILABLE, resolve_use_numba, select_kernels
-from repro.accel.tabulation import (
-    RegularGridTable,
-    DirectTableEvaluator,
-    GalerkinIndefiniteTableEvaluator,
-)
+from repro.accel.tabulation import RegularGridTable, DirectTableEvaluator
 from repro.accel.indefinite_table import IndefiniteTableEvaluator
 from repro.accel.rational import RationalFit, RationalFitEvaluator
 
@@ -45,12 +38,8 @@ __all__ = [
     "FastLog",
     "FastAtan",
     "FastAsinh",
-    "NUMBA_AVAILABLE",
-    "resolve_use_numba",
-    "select_kernels",
     "RegularGridTable",
     "DirectTableEvaluator",
-    "GalerkinIndefiniteTableEvaluator",
     "IndefiniteTableEvaluator",
     "RationalFit",
     "RationalFitEvaluator",

@@ -25,9 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.greens.collocation import collocation_from_deltas
-from repro.greens.indefinite import indefinite_integral
 
-__all__ = ["RegularGridTable", "DirectTableEvaluator", "GalerkinIndefiniteTableEvaluator"]
+__all__ = ["RegularGridTable", "DirectTableEvaluator"]
 
 
 class RegularGridTable:
@@ -172,63 +171,3 @@ class DirectTableEvaluator:
 
     # Allow the evaluator to be used directly as a collocation function.
     __call__ = from_deltas
-
-
-class GalerkinIndefiniteTableEvaluator:
-    """4-fold Galerkin antiderivative via normalised-geometry tabulation.
-
-    The parallel-panel Galerkin integral is a 16-corner signed sum of the
-    indefinite integral ``F(a, b, c)`` of
-    :func:`repro.greens.indefinite.indefinite_integral`.  ``F`` is
-    homogeneous of degree three *up to a logarithmic term*:
-
-    .. math:: F(s a, s b, s c) = s^3 F(a, b, c)
-              + s^3 \\ln s \\cdot \\tfrac{1}{2}
-                \\left[ a (b^2 - c^2) + b (a^2 - c^2) \\right],
-
-    so a query is normalised by its largest coordinate magnitude ``s``, the
-    3-D table is interpolated on ``[-1, 1]^2 x [0, 1]`` (``F`` is even in
-    ``c``), and the log correction is added back *analytically* -- the only
-    error is the multilinear interpolation of the smooth normalised ``F``.
-    The correction coefficient telescopes to zero over the 16 corner signs
-    of a common-scale pair, which is why tabulating ``F`` (rather than the
-    definite integral) stays accurate through the corner cancellation.
-
-    Used by the batched kernel core's ``near_field="table"`` mode as a
-    drop-in for ``indefinite_integral``.
-    """
-
-    name = "galerkin_indefinite_tabulation"
-
-    def __init__(self, points_per_dim: int = 65):
-        if points_per_dim < 3:
-            raise ValueError(f"points_per_dim must be >= 3, got {points_per_dim}")
-        self.points_per_dim = int(points_per_dim)
-        lows = [-1.0, -1.0, 0.0]
-        highs = [1.0, 1.0, 1.0]
-        shape = [self.points_per_dim] * 3
-        self.table = RegularGridTable.build(
-            lambda a, b, c: indefinite_integral(a, b, c), lows, highs, shape
-        )
-
-    @property
-    def memory_bytes(self) -> int:
-        """Memory footprint of the 3-D table."""
-        return self.table.memory_bytes
-
-    def __call__(self, a, b, c) -> np.ndarray:
-        """Interpolated indefinite integral (drop-in for the closed form)."""
-        a, b, c = np.broadcast_arrays(
-            np.asarray(a, dtype=float),
-            np.asarray(b, dtype=float),
-            np.asarray(c, dtype=float),
-        )
-        shape = a.shape
-        stacked = np.stack([a.ravel(), b.ravel(), np.abs(c).ravel()], axis=1)
-        scale = np.max(np.abs(stacked), axis=1)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        normalised = stacked / scale[:, None]
-        an, bn, cn = normalised[:, 0], normalised[:, 1], normalised[:, 2]
-        log_coefficient = 0.5 * (an * (bn * bn - cn * cn) + bn * (an * an - cn * cn))
-        values = scale**3 * (self.table(normalised) + np.log(scale) * log_coefficient)
-        return values.reshape(shape)

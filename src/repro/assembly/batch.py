@@ -121,8 +121,7 @@ class BatchGalerkinAssembler:
 
     Parameters mirror :class:`~repro.assembly.serial.SerialAssembler`; the
     additional ``batch_size`` bounds the temporary memory used per numpy
-    batch, and ``near_field`` / ``use_numba`` select the optional kernel-core
-    acceleration layers (see :class:`repro.greens.batched.BatchedKernelCore`).
+    batch.
     """
 
     def __init__(
@@ -134,8 +133,6 @@ class BatchGalerkinAssembler:
         order_near: int = 6,
         order_far: int = 3,
         batch_size: int = 200_000,
-        near_field: str = "exact",
-        use_numba: bool | None = None,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -147,8 +144,6 @@ class BatchGalerkinAssembler:
             collocation_fn=collocation_fn,
             order_near=order_near,
             order_far=order_far,
-            near_field=near_field,
-            use_numba=use_numba,
         )
         self.arrays = self.core.arrays
         self.permittivity = self.core.permittivity

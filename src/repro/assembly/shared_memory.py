@@ -16,6 +16,11 @@ provided:
   ``multiprocessing`` pool (one OS process per node), each worker returning
   its private partial matrix which the main process accumulates -- the
   functional equivalent of the OpenMP flow of Figure 4.
+
+:class:`PartitionedAssembler` holds what this flow shares with the
+distributed one (:mod:`repro.assembly.distributed`): the constructor, the
+equal partitioning, the job tuple pickled to a worker and the worker's
+rebuild of the batch assembler.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from repro.basis.functions import BasisSet
 from repro.greens.policy import ApproximationPolicy
 from repro.obs.trace import Span, span
 
-__all__ = ["ParallelSetupResult", "SharedMemoryAssembler"]
+__all__ = ["ParallelSetupResult", "PartitionedAssembler", "SharedMemoryAssembler"]
 
 
 @dataclass
@@ -91,20 +96,14 @@ def record_work(assemble_span: Span | None, result: ParallelSetupResult) -> None
     )
 
 
-def _shared_worker(args) -> tuple[np.ndarray, ChunkResult]:
-    """Process-pool worker: assemble one partition into a private matrix."""
-    (
-        basis_set,
-        permittivity,
-        policy,
-        order_near,
-        order_far,
-        batch_size,
-        near_field,
-        use_numba,
-        start,
-        stop,
-    ) = args
+def rebuild_assembler(job: tuple) -> tuple[BatchGalerkinAssembler, int, int]:
+    """Rebuild, in a worker process, the assembler and partition of a job.
+
+    The job is :meth:`PartitionedAssembler.worker_job`; every evaluation
+    choice is deterministic, so the rebuilt assembler is arithmetically
+    identical to the parent's.
+    """
+    basis_set, permittivity, policy, order_near, order_far, batch_size, start, stop = job
     assembler = BatchGalerkinAssembler(
         basis_set,
         permittivity,
@@ -112,14 +111,18 @@ def _shared_worker(args) -> tuple[np.ndarray, ChunkResult]:
         order_near=order_near,
         order_far=order_far,
         batch_size=batch_size,
-        near_field=near_field,
-        use_numba=use_numba,
     )
+    return assembler, start, stop
+
+
+def _shared_worker(job: tuple) -> tuple[np.ndarray, ChunkResult]:
+    """Process-pool worker: assemble one partition into a private matrix."""
+    assembler, start, stop = rebuild_assembler(job)
     return assembler.assemble_chunk(start, stop)
 
 
-class SharedMemoryAssembler:
-    """OpenMP-like parallel assembler.
+class PartitionedAssembler:
+    """Constructor, partitions and worker jobs of the parallel flows.
 
     Parameters
     ----------
@@ -129,9 +132,8 @@ class SharedMemoryAssembler:
         Number of parallel computing nodes ``D``.
     use_processes:
         Execute partitions in a real process pool instead of sequentially.
-        Note that accelerated ``collocation_fn`` objects are not forwarded to
-        worker processes (their tables would be rebuilt per process); the
-        process mode always uses the exact closed forms.
+        A custom ``collocation_fn`` cannot be sent to worker processes, so
+        it is rejected when the pool would be used (``num_nodes > 1``).
     """
 
     def __init__(
@@ -144,22 +146,18 @@ class SharedMemoryAssembler:
         order_near: int = 6,
         order_far: int = 3,
         batch_size: int = 200_000,
-        near_field: str = "exact",
-        use_numba: bool | None = None,
         use_processes: bool = False,
     ):
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         self.basis_set = basis_set
-        self.permittivity = float(permittivity)
         self.num_nodes = int(num_nodes)
-        self.policy = policy
-        self.order_near = int(order_near)
-        self.order_far = int(order_far)
-        self.batch_size = int(batch_size)
-        self.near_field = str(near_field)
-        self.use_numba = use_numba
         self.use_processes = bool(use_processes)
+        if collocation_fn is not None and self.pooled:
+            raise ValueError(
+                "a custom collocation_fn cannot be sent to worker processes; "
+                "run the partitions in-process instead (use_processes=False)"
+            )
         self.assembler = BatchGalerkinAssembler(
             basis_set,
             permittivity,
@@ -168,21 +166,48 @@ class SharedMemoryAssembler:
             order_near=order_near,
             order_far=order_far,
             batch_size=batch_size,
-            near_field=near_field,
-            use_numba=use_numba,
         )
 
-    # ------------------------------------------------------------------
+    @property
+    def pooled(self) -> bool:
+        """Whether the partitions run in a process pool."""
+        return self.use_processes and self.num_nodes > 1
+
     def partitions(self) -> list[WorkPartition]:
         """Equal division of the iteration space over the nodes."""
         return partition_range(self.assembler.num_pairs, self.num_nodes)
+
+    def worker_job(self, part: WorkPartition) -> tuple:
+        """Argument tuple, pickled to a worker, that :func:`rebuild_assembler` reads."""
+        assembler = self.assembler
+        return (
+            self.basis_set,
+            assembler.permittivity,
+            assembler.policy,
+            assembler.order_near,
+            assembler.order_far,
+            assembler.batch_size,
+            part.start,
+            part.stop,
+        )
+
+    def map_pool(self, worker, parts: list[WorkPartition]) -> list:
+        """Run ``worker`` on the job of every partition in a fork pool."""
+        jobs = [self.worker_job(part) for part in parts]
+        context = multiprocessing.get_context("fork")
+        with context.Pool(processes=min(self.num_nodes, len(jobs))) as pool:
+            return pool.map(worker, jobs)
+
+
+class SharedMemoryAssembler(PartitionedAssembler):
+    """OpenMP-like parallel assembler (parameters of :class:`PartitionedAssembler`)."""
 
     def assemble(self) -> ParallelSetupResult:
         """Run the shared-memory system-setup flow."""
         with span(
             "assembly.assemble", flow="shared_memory", nodes=self.num_nodes
         ) as assemble_span:
-            if self.use_processes and self.num_nodes > 1:
+            if self.pooled:
                 result = self._assemble_with_processes()
             else:
                 result = self._assemble_sequentially()
@@ -206,32 +231,14 @@ class SharedMemoryAssembler:
 
     def _assemble_with_processes(self) -> ParallelSetupResult:
         """Execute the partitions in a multiprocessing pool (Figure 4 flow)."""
-        parts = self.partitions()
-        jobs = [
-            (
-                self.basis_set,
-                self.permittivity,
-                self.policy,
-                self.order_near,
-                self.order_far,
-                self.batch_size,
-                self.near_field,
-                self.use_numba,
-                part.start,
-                part.stop,
-            )
-            for part in parts
-        ]
         n = self.assembler.num_basis_functions
         matrix = np.zeros((n, n))
         node_results: list[ChunkResult] = []
-        context = multiprocessing.get_context("fork")
         communication_bytes: list[int] = []
-        with context.Pool(processes=min(self.num_nodes, len(jobs))) as pool:
-            for partial, result in pool.map(_shared_worker, jobs):
-                matrix += partial
-                node_results.append(result)
-                communication_bytes.append(int(partial.nbytes))
+        for partial, result in self.map_pool(_shared_worker, self.partitions()):
+            matrix += partial
+            node_results.append(result)
+            communication_bytes.append(int(partial.nbytes))
         return ParallelSetupResult(
             matrix=matrix,
             node_results=node_results,

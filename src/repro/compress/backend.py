@@ -82,14 +82,11 @@ class GalerkinACABackend:
             functions — the knob that scales ``N`` for compression studies.
         tolerance, order_near, order_far:
             Integration accuracy knobs, as in the other Galerkin backends.
-        near_field:
-            Near/singular pair evaluation mode of the batched kernel core:
-            ``"exact"`` (closed forms, default) or ``"table"`` (precomputed
-            normalized-geometry integral tables, faster but approximate).
-        use_numba:
-            Force the numba JIT kernels on/off; ``None`` defers to the
-            ``REPRO_NUMBA`` environment variable and degrades gracefully
-            when numba is unavailable.
+        near_field, use_numba:
+            Removed kernel modes, kept so that requests naming their
+            defaults still resolve: only ``near_field="exact"`` and
+            ``use_numba=None``/``False`` are accepted (see
+            :class:`~repro.compress.entries.GalerkinEntries`).
         gmres_tolerance, max_iterations:
             Controls of the iterative solve.
         block_size:
@@ -166,7 +163,6 @@ class GalerkinACABackend:
                 "worker_assembly_seconds": list(hmatrix.worker_seconds),
                 "entries_sampled": entries.entries_sampled,
                 "near_field": near_field,
-                "jit_active": entries.assembler.core.jit_active,
                 "gmres_tolerance": gmres_tolerance,
                 "solver_mode": stats.mode,
                 "operator_traversals": stats.operator_traversals,

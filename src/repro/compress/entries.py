@@ -35,7 +35,10 @@ class GalerkinEntries:
     """Sampled access to the condensed Galerkin matrix ``P``.
 
     Parameters mirror :class:`~repro.assembly.batch.BatchGalerkinAssembler`;
-    ``vectorized`` selects the evaluation path.
+    ``vectorized`` selects the evaluation path.  ``near_field`` and
+    ``use_numba`` name kernel modes that were removed: only their defaults
+    (``"exact"``; ``None`` or ``False``) are accepted, and any other value
+    raises :class:`ValueError`.
     """
 
     def __init__(
@@ -50,6 +53,16 @@ class GalerkinEntries:
         near_field: str = "exact",
         use_numba: bool | None = None,
     ):
+        if near_field != "exact":
+            raise ValueError(
+                f"near_field={near_field!r} was removed; near and singular pairs "
+                "always use the exact closed forms ('exact')"
+            )
+        if use_numba not in (None, False):
+            raise ValueError(
+                f"use_numba={use_numba!r} was removed; the numba JIT path no longer "
+                "exists (None or False only)"
+            )
         self.assembler = BatchGalerkinAssembler(
             basis_set,
             permittivity,
@@ -57,8 +70,6 @@ class GalerkinEntries:
             collocation_fn=collocation_fn,
             order_near=order_near,
             order_far=order_far,
-            near_field=near_field,
-            use_numba=use_numba,
         )
         self.vectorized = bool(vectorized)
         self._custom_collocation = collocation_fn is not None
@@ -69,8 +80,6 @@ class GalerkinEntries:
             int(order_near),
             int(order_far),
             bool(vectorized),
-            str(near_field),
-            use_numba,
         )
         self._count_lock = threading.Lock()
         arrays = self.assembler.arrays

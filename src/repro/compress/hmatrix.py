@@ -434,15 +434,14 @@ def _process_worker(
     slice is exactly the parent's.
     """
     worker_args, epsilon, max_rank, leaf_size, eta, start, stop = args
+    basis_set, permittivity, policy, order_near, order_far, vectorized = worker_args
     entries = GalerkinEntries(
-        worker_args[0],
-        worker_args[1],
-        policy=worker_args[2],
-        order_near=worker_args[3],
-        order_far=worker_args[4],
-        vectorized=worker_args[5],
-        near_field=worker_args[6],
-        use_numba=worker_args[7],
+        basis_set,
+        permittivity,
+        policy=policy,
+        order_near=order_near,
+        order_far=order_far,
+        vectorized=vectorized,
     )
     blocks = _upper_blocks(entries, leaf_size, eta)
     return _assemble_partition(entries, blocks[start:stop], epsilon, max_rank)

@@ -213,8 +213,6 @@ def _command_kernel(args: argparse.Namespace) -> int:
             quick=not args.full,
             sizes=args.sizes,
             sample_pairs=args.sample,
-            include_table=not args.no_table,
-            use_numba=args.numba if args.numba is not None else None,
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
@@ -608,21 +606,6 @@ def main(argv: list[str] | None = None) -> int:
         default=4000,
         metavar="PAIRS",
         help="template pairs sampled for the entry-wise timing (default: 4000)",
-    )
-    kernel_parser.add_argument(
-        "--no-table",
-        action="store_true",
-        help="skip timing the approximate near_field='table' mode",
-    )
-    numba_group = kernel_parser.add_mutually_exclusive_group()
-    numba_group.add_argument(
-        "--numba",
-        action="store_true",
-        default=None,
-        help="force the numba JIT kernels on (warns and degrades if unavailable)",
-    )
-    numba_group.add_argument(
-        "--no-numba", dest="numba", action="store_false", help="force them off"
     )
     kernel_parser.add_argument(
         "--output",

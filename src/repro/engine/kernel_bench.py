@@ -18,9 +18,7 @@ distinct pair key), and the largest *relative* disagreement between the
 values the full assembly produced for the sampled pairs and the entry-wise
 reference.  That disagreement must stay within
 :data:`KERNEL_AGREEMENT_BOUND`; ``python -m repro kernel`` exits non-zero
-otherwise.  When requested, the sweep also times the approximate
-``near_field="table"`` mode (whose error is bounded by the table
-interpolation, not by round-off, and is not gated).
+otherwise.
 
 The report's ``data`` payload is written to ``BENCH_kernel.json`` by
 ``python -m repro kernel``.
@@ -87,8 +85,6 @@ def run_kernel_bench(
     tolerance: float = 0.01,
     sample_pairs: int = 4000,
     seed: int = 2011,
-    include_table: bool = True,
-    use_numba: bool | None = None,
 ) -> ExperimentReport:
     """Benchmark entry-wise vs batched assembly on sized crossing buses.
 
@@ -106,10 +102,6 @@ def run_kernel_bench(
         agreement check (the full entry-wise sweep would be quadratic).
     seed:
         Seed of the pair sampler (the artifact is reproducible).
-    include_table:
-        Also time the approximate ``near_field="table"`` mode.
-    use_numba:
-        Forwarded to the batched core (``None`` = ``REPRO_NUMBA`` env var).
     """
     if sizes is None:
         sizes = KERNEL_SWEEP_SIZES["quick" if quick else "full"]
@@ -132,9 +124,7 @@ def run_kernel_bench(
         basis_set = build_basis_set(
             layout, InstantiationConfig(face_refinement=face_refinement)
         )
-        assembler = BatchGalerkinAssembler(
-            basis_set, layout.permittivity, policy=policy, use_numba=use_numba
-        )
+        assembler = BatchGalerkinAssembler(basis_set, layout.permittivity, policy=policy)
         num_pairs = num_template_pairs(basis_set.num_templates)
         sampled = min(int(sample_pairs), num_pairs)
         sample = rng.choice(num_pairs, size=sampled, replace=False).astype(np.int64)
@@ -144,7 +134,7 @@ def run_kernel_bench(
         entrywise_estimated = entry_us_per_pair * num_pairs * 1e-6
 
         start = time.perf_counter()
-        matrix, chunk = assembler.assemble_chunk(0, num_pairs)
+        _, chunk = assembler.assemble_chunk(0, num_pairs)
         batched_seconds = time.perf_counter() - start
 
         # A pair's value is a pure function of its key, so evaluating the
@@ -168,22 +158,7 @@ def run_kernel_bench(
             "requested_pairs": chunk.num_pairs,
             "evaluated_pairs": chunk.num_evaluated,
             "max_rel_diff": max_rel_diff,
-            "jit_active": assembler.core.jit_active,
         }
-        if include_table:
-            table_assembler = BatchGalerkinAssembler(
-                basis_set,
-                layout.permittivity,
-                policy=policy,
-                near_field="table",
-                use_numba=use_numba,
-            )
-            start = time.perf_counter()
-            table_matrix = table_assembler.assemble()
-            record["table_seconds"] = time.perf_counter() - start
-            record["table_max_rel_diff"] = float(
-                np.max(np.abs(table_matrix - matrix)) / np.max(np.abs(matrix))
-            )
         entries[label] = record
         rows.append(
             [

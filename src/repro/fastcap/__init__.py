@@ -23,9 +23,6 @@ from repro.fastcap.octree import ClusterTree, ClusterNode
 from repro.fastcap.fmm import MultipoleOperator
 from repro.fastcap.solver import FastCapSolver
 
-# ``FastCapSolution`` is retired as a public type: the solver returns the
-# unified ``repro.core.results.ExtractionResult``.  The alias remains
-# importable from ``repro.fastcap.solver`` for legacy code.
 __all__ = [
     "ClusterTree",
     "ClusterNode",

@@ -7,13 +7,10 @@ original FASTCAP program [4], with timing and memory bookkeeping so the
 Table 2 comparison can be regenerated.
 
 The solver returns the unified :class:`repro.core.results.ExtractionResult`
-(with ``iterations`` populated); the historical ``FastCapSolution`` name is
-retained only as a deprecated alias of that type.
+(with ``iterations`` populated).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -26,19 +23,6 @@ from repro.parallel.timing import SolverTimer
 from repro.solver.iterative import gmres_solve
 
 __all__ = ["FastCapSolver"]
-
-
-def __getattr__(name: str):
-    # Deprecated alias — the FASTCAP-like solver now returns the unified result.
-    if name == "FastCapSolution":
-        warnings.warn(
-            "FastCapSolution is deprecated; the solver returns the unified "
-            "repro.core.results.ExtractionResult",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ExtractionResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FastCapSolver:

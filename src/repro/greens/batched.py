@@ -58,21 +58,16 @@ Evaluation categories (identical decisions to
   :class:`~repro.basis.templates.BoundArchProfile` family fall back to the
   per-pair reference integrator.
 
-Two optional acceleration layers sit behind feature flags:
+Near and singular pairs always use the exact closed forms
+(:func:`~repro.greens.indefinite.indefinite_integral` and
+:func:`~repro.greens.collocation.collocation_from_deltas`); only a caller's
+``collocation_fn`` -- one of the Section 4.2 acceleration techniques --
+replaces the definite rectangle-potential evaluations.
 
-* ``near_field="table"`` swaps the exact near/singular closed forms for the
-  precomputed integral tables of :mod:`repro.accel.tabulation` (the
-  collocation-integral table plus the new Galerkin indefinite-integral
-  table), both keyed by normalised pair geometry through degree-one/-three
-  homogeneity.  This trades ~1e-3 relative accuracy for table lookups.
-* ``use_numba=True`` (or ``REPRO_NUMBA=1``) JIT-compiles the innermost
-  transcendental kernels through :mod:`repro.accel.jit`, degrading
-  gracefully to NumPy when numba is absent.
-
-Agreement of the default (``near_field="exact"``, NumPy) configuration with
-the entry-wise ``template_pair`` reference is asserted to 1e-10 by the
-hypothesis property suite in ``tests/greens/test_batched_property.py``; the
-deduplication itself by ``tests/greens/test_pair_dedup.py``.
+Agreement with the entry-wise ``template_pair`` reference is asserted to
+1e-10 by the hypothesis property suite in
+``tests/greens/test_batched_property.py``; the deduplication itself by
+``tests/greens/test_pair_dedup.py``.
 """
 
 from __future__ import annotations
@@ -83,7 +78,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.accel.jit import select_kernels
 from repro.basis.templates import BoundArchProfile, TemplateInstance
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.assembly
@@ -91,12 +85,10 @@ if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.assembly
 from repro.greens.galerkin import GalerkinIntegrator
 from repro.greens.policy import ApproximationPolicy
 from repro.greens.quadrature import gauss_legendre
-from repro.greens.collocation import strip_integral
+from repro.greens.collocation import collocation_from_deltas, strip_integral
+from repro.greens.indefinite import indefinite_integral
 
-__all__ = ["ArchProfileArrays", "BatchedKernelCore", "CATEGORIES", "NEAR_FIELD_MODES"]
-
-#: Supported near-field evaluation modes.
-NEAR_FIELD_MODES = ("exact", "table")
+__all__ = ["ArchProfileArrays", "BatchedKernelCore", "CATEGORIES"]
 
 #: Temporary-array budget (in doubles) of one quadrature chunk.  Sized so
 #: the handful of (pairs, order^2)-shaped temporaries of a chunk stay within
@@ -288,17 +280,9 @@ class BatchedKernelCore:
         Approximation-distance policy; defaults to the paper's 1 %.
     collocation_fn:
         Override of the definite rectangle-potential evaluator (the
-        Section 4.2 acceleration techniques plug in here).  When given it
-        takes precedence over both ``near_field`` and ``use_numba`` for the
-        collocation-integral evaluations.
+        Section 4.2 acceleration techniques plug in here).
     order_near, order_far:
         Gauss-Legendre orders for nearby / well-separated outer quadratures.
-    near_field:
-        ``"exact"`` (default) evaluates near/singular pairs with the exact
-        closed forms; ``"table"`` uses the precomputed normalised-geometry
-        integral tables of :mod:`repro.accel.tabulation`.
-    use_numba:
-        Three-state JIT flag (see :func:`repro.accel.jit.resolve_use_numba`).
     """
 
     def __init__(
@@ -309,15 +293,9 @@ class BatchedKernelCore:
         collocation_fn: Callable | None = None,
         order_near: int = 6,
         order_far: int = 3,
-        near_field: str = "exact",
-        use_numba: bool | None = None,
     ):
         if permittivity <= 0.0:
             raise ValueError(f"permittivity must be positive, got {permittivity}")
-        if near_field not in NEAR_FIELD_MODES:
-            raise ValueError(
-                f"near_field must be one of {NEAR_FIELD_MODES}, got {near_field!r}"
-            )
         if order_near < 1 or order_far < 1:
             raise ValueError("quadrature orders must be >= 1")
         self.arrays = arrays
@@ -325,23 +303,8 @@ class BatchedKernelCore:
         self.policy = policy if policy is not None else ApproximationPolicy()
         self.order_near = int(order_near)
         self.order_far = int(order_far)
-        self.near_field = near_field
-
-        default_collocation, indefinite_fn, self.jit_active = select_kernels(use_numba)
-        self.indefinite_fn = indefinite_fn
-        if collocation_fn is None and near_field == "table":
-            from repro.accel.tabulation import (
-                DirectTableEvaluator,
-                GalerkinIndefiniteTableEvaluator,
-            )
-
-            # 13 points/dim on the 5-D collocation table (the Table 1
-            # micro-benchmark default of 9 dominates the assembly error);
-            # the 3-D indefinite table is cheap enough at its default.
-            collocation_fn = DirectTableEvaluator(points_per_dim=13)
-            self.indefinite_fn = GalerkinIndefiniteTableEvaluator()
         self.collocation_fn = (
-            collocation_fn if collocation_fn is not None else default_collocation
+            collocation_fn if collocation_fn is not None else collocation_from_deltas
         )
 
         u_axis, v_axis = arrays.tangential_axes()
@@ -771,7 +734,7 @@ class BatchedKernelCore:
                 for s in range(2):
                     for t in range(2):
                         sign = (-1) ** (p + q + s + t)
-                        total += sign * self.indefinite_fn(
+                        total += sign * indefinite_integral(
                             ui[p] - uj[q], vi[s] - vj[t], separation
                         )
         return total

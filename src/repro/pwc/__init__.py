@@ -19,7 +19,4 @@ from repro.pwc.assembly import PWCSystem
 from repro.pwc.solver import PWCSolver
 from repro.pwc.refine import refined_reference
 
-# ``PWCSolution`` is retired as a public type: the solver returns the unified
-# ``repro.core.results.ExtractionResult``.  The alias remains importable from
-# ``repro.pwc.solver`` for legacy code.
 __all__ = ["PWCSystem", "PWCSolver", "refined_reference"]

@@ -6,13 +6,10 @@ and as the substrate of the arch-shape extraction; the FASTCAP-like and pFFT
 baselines replace the dense solve with multipole / FFT-accelerated GMRES.
 
 The solver returns the unified :class:`repro.core.results.ExtractionResult`
-(with ``charges`` and ``panels`` populated); the historical ``PWCSolution``
-name is retained only as a deprecated alias of that type.
+(with ``charges`` and ``panels`` populated).
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.core.results import ExtractionResult
 from repro.geometry.discretize import discretize_layout_graded
@@ -24,19 +21,6 @@ from repro.solver.capacitance import capacitance_from_solution
 from repro.solver.dense import solve_dense
 
 __all__ = ["PWCSolver"]
-
-
-def __getattr__(name: str):
-    # Deprecated alias — the PWC solver now returns the unified result type.
-    if name == "PWCSolution":
-        warnings.warn(
-            "PWCSolution is deprecated; the solver returns the unified "
-            "repro.core.results.ExtractionResult",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ExtractionResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PWCSolver:

@@ -203,6 +203,34 @@ class TestParallelBackends:
         with pytest.raises(ValueError):
             DistributedAssembler(basis_set, permittivity, num_nodes=0)
 
+    @pytest.mark.parametrize("assembler_type", [SharedMemoryAssembler, DistributedAssembler])
+    def test_process_pool_rejects_custom_collocation(
+        self, crossing_layout, permittivity, assembler_type
+    ):
+        """Worker processes rebuild the exact kernel, so an evaluator cannot ride along."""
+        from repro.accel import make_evaluator
+
+        basis_set = build_basis_set(crossing_layout)
+        evaluator = make_evaluator("fast_subroutines").from_deltas
+        with pytest.raises(ValueError, match="cannot be sent to worker processes"):
+            assembler_type(
+                basis_set,
+                permittivity,
+                num_nodes=2,
+                collocation_fn=evaluator,
+                use_processes=True,
+            )
+        # In-process partitions and a single node keep the evaluator.
+        for num_nodes, use_processes in [(2, False), (1, True)]:
+            accelerated = assembler_type(
+                basis_set,
+                permittivity,
+                num_nodes=num_nodes,
+                collocation_fn=evaluator,
+                use_processes=use_processes,
+            )
+            assert accelerated.assembler.collocation_fn is evaluator
+
     def test_column_ranges_cover_matrix(self, crossing_layout, permittivity):
         basis_set = build_basis_set(crossing_layout)
         assembler = DistributedAssembler(basis_set, permittivity, num_nodes=3)

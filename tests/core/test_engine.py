@@ -118,6 +118,17 @@ class TestExtractorModes:
         assert comparison.max_relative_error < 0.02
         assert accelerated.metadata["acceleration"] == "fast_subroutines"
 
+    def test_accelerated_process_mode_is_refused(self, crossing_layout):
+        """Process workers cannot carry the evaluator; the run must not fall back silently."""
+        config = ExtractionConfig(
+            acceleration="fast_subroutines",
+            parallel_mode="shared_memory",
+            num_nodes=2,
+            use_processes=True,
+        )
+        with pytest.raises(ValueError, match="cannot be sent to worker processes"):
+            CapacitanceExtractor(config).extract(crossing_layout)
+
     def test_face_refinement_improves_or_matches_accuracy(self, crossing_layout):
         reference = reference_capacitance(
             crossing_layout, cells_per_edge=3, max_panels=800, max_iterations=2

@@ -165,28 +165,62 @@ class TestFusedCollocationClosedForm:
         assert abs(float(fused) - float(corners)) / scale <= 1e-12
 
 
-class TestTableNearField:
-    def test_table_mode_tracks_exact_assembly(self):
-        """The approximate table mode stays within interpolation error."""
-        from repro.assembly.batch import BatchGalerkinAssembler
-        from repro.basis import build_basis_set
+class TestRemovedKernelModes:
+    """``near_field="table"`` and the numba JIT path are gone.
+
+    The H-matrix oracle and the ``galerkin-aca`` backend keep both keywords
+    so that requests naming their defaults still resolve; any other value
+    is refused with a message naming the removal.
+    """
+
+    @pytest.fixture(scope="class")
+    def layout(self):
         from repro.geometry import generators
 
-        layout = generators.crossing_wires()
-        basis_set = build_basis_set(layout)
-        exact = BatchGalerkinAssembler(basis_set, layout.permittivity).assemble()
-        table = BatchGalerkinAssembler(
-            basis_set, layout.permittivity, near_field="table"
-        ).assemble()
-        scale = np.max(np.abs(exact))
-        assert np.max(np.abs(exact - table)) / scale < 0.01
+        return generators.crossing_wires()
 
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize(
+        "option, match",
+        [
+            ({"near_field": "table"}, "near_field='table' was removed"),
+            ({"use_numba": True}, "use_numba=True was removed"),
+        ],
+    )
+    def test_removed_modes_rejected(self, layout, option, match):
+        from repro.basis import build_basis_set
+        from repro.compress.entries import GalerkinEntries
+        from repro.engine import ExtractionService, get_backend
+
+        basis_set = build_basis_set(layout)
+        with pytest.raises(ValueError, match=match):
+            GalerkinEntries(basis_set, layout.permittivity, **option)
+        with pytest.raises(ValueError, match=match):
+            get_backend("galerkin-aca").extract(layout, **option)
+        # The service contains backend failures and re-raises them, naming
+        # the original error.
+        with pytest.raises(RuntimeError, match=f"ValueError: {match}"):
+            ExtractionService().extract(layout, backend="galerkin-aca", **option)
+
+    def test_explicit_defaults_match_omitted(self, layout):
+        from repro.engine import ExtractionService
+
+        service = ExtractionService()
+        plain = service.extract(layout, backend="galerkin-aca")
+        explicit = service.extract(
+            layout, backend="galerkin-aca", near_field="exact", use_numba=False
+        )
+        np.testing.assert_array_equal(explicit.capacitance, plain.capacitance)
+        assert explicit.metadata["near_field"] == "exact"
+        assert "jit_active" not in explicit.metadata
+
+    def test_kernel_core_has_one_evaluation_path(self, layout):
         from repro.assembly.batch import BatchGalerkinAssembler
         from repro.basis import build_basis_set
-        from repro.geometry import generators
 
-        layout = generators.crossing_wires()
         basis_set = build_basis_set(layout)
-        with pytest.raises(ValueError, match="near_field"):
-            BatchGalerkinAssembler(basis_set, layout.permittivity, near_field="bogus")
+        with pytest.raises(TypeError):
+            BatchGalerkinAssembler(basis_set, layout.permittivity, near_field="exact")
+        with pytest.raises(TypeError):
+            BatchGalerkinAssembler(basis_set, layout.permittivity, use_numba=False)
+        core = BatchGalerkinAssembler(basis_set, layout.permittivity).core
+        assert core.collocation_fn is collocation_from_deltas
