@@ -231,6 +231,76 @@ class TestParallelBackends:
             )
             assert accelerated.assembler.collocation_fn is evaluator
 
+    @pytest.mark.parametrize("assembler_type", [SharedMemoryAssembler, DistributedAssembler])
+    def test_worker_job_rebuilds_the_parent_assembler(
+        self, crossing_layout, permittivity, assembler_type
+    ):
+        """The job tuple carries every evaluation choice the worker needs."""
+        from repro.assembly.shared_memory import rebuild_assembler
+        from repro.greens.policy import ApproximationPolicy
+
+        basis_set = build_basis_set(crossing_layout)
+        parallel = assembler_type(
+            basis_set,
+            permittivity,
+            num_nodes=3,
+            policy=ApproximationPolicy(tolerance=0.05),
+            order_near=5,
+            order_far=2,
+            batch_size=97,
+        )
+        parent = parallel.assembler
+        for part in parallel.partitions():
+            rebuilt, start, stop = rebuild_assembler(parallel.worker_job(part))
+            assert (start, stop) == (part.start, part.stop)
+            assert rebuilt.policy == parent.policy
+            assert (rebuilt.order_near, rebuilt.order_far) == (5, 2)
+            assert rebuilt.batch_size == 97
+            expected, expected_chunk = parent.assemble_chunk(start, stop)
+            matrix, chunk = rebuilt.assemble_chunk(start, stop)
+            np.testing.assert_array_equal(matrix, expected)
+            assert chunk.num_evaluated == expected_chunk.num_evaluated
+
+    @pytest.mark.parametrize("num_nodes", [2, 3])
+    def test_worker_functions_match_in_process_flows(
+        self, crossing_layout, permittivity, num_nodes
+    ):
+        """Run the process-pool workers in-process: same matrices as the sequential flows.
+
+        The shared-memory workers return private matrices that are summed,
+        while the sequential flow accumulates into one, so only the
+        summation order differs there; the distributed blocks are identical.
+        """
+        from repro.assembly.distributed import _distributed_worker
+        from repro.assembly.shared_memory import _shared_worker
+
+        basis_set = build_basis_set(crossing_layout)
+        shared = SharedMemoryAssembler(basis_set, permittivity, num_nodes=num_nodes)
+        summed = sum(_shared_worker(shared.worker_job(p))[0] for p in shared.partitions())
+        np.testing.assert_allclose(summed, shared.assemble().matrix, rtol=1e-12, atol=0.0)
+
+        distributed = DistributedAssembler(basis_set, permittivity, num_nodes=num_nodes)
+        n = distributed.assembler.num_basis_functions
+        upper = np.zeros((n, n))
+        for part in distributed.partitions():
+            partial, _ = _distributed_worker(distributed.worker_job(part))
+            upper[:, partial.first_column : partial.last_column + 1] += partial.block
+        np.testing.assert_array_equal(symmetrize_upper(upper), distributed.assemble().matrix)
+
+    @pytest.mark.parametrize(
+        "num_nodes, use_processes, pooled",
+        [(1, False, False), (1, True, False), (2, False, False), (2, True, True)],
+    )
+    def test_pool_is_used_only_for_several_nodes(
+        self, crossing_layout, permittivity, num_nodes, use_processes, pooled
+    ):
+        basis_set = build_basis_set(crossing_layout)
+        for assembler_type in (SharedMemoryAssembler, DistributedAssembler):
+            parallel = assembler_type(
+                basis_set, permittivity, num_nodes=num_nodes, use_processes=use_processes
+            )
+            assert parallel.pooled is pooled
+
     def test_column_ranges_cover_matrix(self, crossing_layout, permittivity):
         basis_set = build_basis_set(crossing_layout)
         assembler = DistributedAssembler(basis_set, permittivity, num_nodes=3)
