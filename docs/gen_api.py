@@ -37,6 +37,7 @@ API_MODULES = [
     "repro.engine.service",
     "repro.engine.fingerprint",
     "repro.engine.compare",
+    "repro.parallel.executor",
     "repro.workloads",
     "repro.frw",
     "repro.frw.scene",

@@ -15,7 +15,7 @@ the linearised optimisation problem of eq. (12):
 The paper uses the STINS semidefinite-programming tool for this; because the
 problem is linear in the coefficients once the normalisation constraint is
 eliminated, an ordinary linear least-squares solve produces the same kind of
-fit (see DESIGN.md).  Rational functions are particularly suited to kernels
+fit.  Rational functions are particularly suited to kernels
 that decay with distance, which is why the denominator easily captures the
 ``1/r`` falloff.
 """

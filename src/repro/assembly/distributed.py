@@ -10,9 +10,9 @@ main process shifts and accumulates it.
 As with the shared-memory flow, two execution modes exist: sequential
 in-process execution (used by the simulated parallel machine -- identical
 arithmetic, per-node times and communication volumes, independent of the
-host's physical core count) and real ``multiprocessing`` processes with the
-partial matrices transferred over pipes, which exercises the actual
-send/receive path.
+host's physical core count) and forked worker processes
+(:func:`repro.parallel.executor.map_jobs`) with the partial matrices
+transferred over pipes, which exercises the actual send/receive path.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.assembly.shared_memory import (
     record_work,
 )
 from repro.obs.trace import span
+from repro.parallel.executor import map_jobs
 
 __all__ = ["DistributedAssembler", "PartialMatrix"]
 
@@ -89,7 +90,8 @@ class DistributedAssembler(PartitionedAssembler):
         with span("assembly.assemble", flow="distributed", nodes=self.num_nodes) as assemble_span:
             parts = self.partitions()
             if self.pooled:
-                blocks = self.map_pool(_distributed_worker, parts)
+                jobs = [self.worker_job(part) for part in parts]
+                blocks = map_jobs(_distributed_worker, jobs, mode="process", workers=self.num_nodes)
             else:
                 blocks = [_column_block(self.assembler, p.start, p.stop) for p in parts]
 

@@ -10,12 +10,13 @@ provided:
   recorded.  This is the mode used by the *simulated parallel machine*
   (:mod:`repro.parallel.machine`) -- it reproduces the exact work division
   and load balance of the parallel run, which is what determines the
-  speedup/efficiency figures, without requiring more physical cores than the
-  host has (the evaluation container has a single core, see DESIGN.md).
-* ``use_processes=True``: the partitions are executed by a
-  ``multiprocessing`` pool (one OS process per node), each worker returning
-  its private partial matrix which the main process accumulates -- the
-  functional equivalent of the OpenMP flow of Figure 4.
+  speedup/efficiency figures, without requiring as many physical cores as
+  nodes.
+* ``use_processes=True``: the partitions are executed by the ``process``
+  mode of :func:`repro.parallel.executor.map_jobs` (one forked worker per
+  node), each worker returning its private partial matrix which the main
+  process accumulates -- the functional equivalent of the OpenMP flow of
+  Figure 4.  A worker that dies raises ``BrokenProcessPool``.
 
 :class:`PartitionedAssembler` holds what this flow shares with the
 distributed one (:mod:`repro.assembly.distributed`): the constructor, the
@@ -25,7 +26,6 @@ rebuild of the batch assembler.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +35,7 @@ from repro.assembly.partition import WorkPartition, partition_range
 from repro.basis.functions import BasisSet
 from repro.greens.policy import ApproximationPolicy
 from repro.obs.trace import Span, span
+from repro.parallel.executor import map_jobs
 
 __all__ = ["ParallelSetupResult", "PartitionedAssembler", "SharedMemoryAssembler"]
 
@@ -116,7 +117,7 @@ def rebuild_assembler(job: tuple) -> tuple[BatchGalerkinAssembler, int, int]:
 
 
 def _shared_worker(job: tuple) -> tuple[np.ndarray, ChunkResult]:
-    """Process-pool worker: assemble one partition into a private matrix."""
+    """Worker process: assemble one partition into a private matrix."""
     assembler, start, stop = rebuild_assembler(job)
     return assembler.assemble_chunk(start, stop)
 
@@ -131,7 +132,7 @@ class PartitionedAssembler:
     num_nodes:
         Number of parallel computing nodes ``D``.
     use_processes:
-        Execute partitions in a real process pool instead of sequentially.
+        Execute partitions in worker processes instead of sequentially.
         A custom ``collocation_fn`` cannot be sent to worker processes, so
         it is rejected when the pool would be used (``num_nodes > 1``).
     """
@@ -170,7 +171,7 @@ class PartitionedAssembler:
 
     @property
     def pooled(self) -> bool:
-        """Whether the partitions run in a process pool."""
+        """Whether the partitions run in worker processes."""
         return self.use_processes and self.num_nodes > 1
 
     def partitions(self) -> list[WorkPartition]:
@@ -191,56 +192,35 @@ class PartitionedAssembler:
             part.stop,
         )
 
-    def map_pool(self, worker, parts: list[WorkPartition]) -> list:
-        """Run ``worker`` on the job of every partition in a fork pool."""
-        jobs = [self.worker_job(part) for part in parts]
-        context = multiprocessing.get_context("fork")
-        with context.Pool(processes=min(self.num_nodes, len(jobs))) as pool:
-            return pool.map(worker, jobs)
-
 
 class SharedMemoryAssembler(PartitionedAssembler):
     """OpenMP-like parallel assembler (parameters of :class:`PartitionedAssembler`)."""
 
     def assemble(self) -> ParallelSetupResult:
-        """Run the shared-memory system-setup flow."""
+        """Run the shared-memory system-setup flow.
+
+        In-process, every partition adds straight into ``P``; worker
+        processes each return a private partial matrix that is added here.
+        """
         with span(
             "assembly.assemble", flow="shared_memory", nodes=self.num_nodes
         ) as assemble_span:
+            n = self.assembler.num_basis_functions
+            matrix = np.zeros((n, n))
+            parts = self.partitions()
             if self.pooled:
-                result = self._assemble_with_processes()
+                jobs = [self.worker_job(part) for part in parts]
+                outputs = map_jobs(_shared_worker, jobs, mode="process", workers=self.num_nodes)
+                for partial, _ in outputs:
+                    matrix += partial
+                communication_bytes = [int(partial.nbytes) for partial, _ in outputs]
             else:
-                result = self._assemble_sequentially()
+                outputs = [self.assembler.assemble_chunk(p.start, p.stop, out=matrix) for p in parts]
+                communication_bytes = [0] * self.num_nodes
+            result = ParallelSetupResult(
+                matrix=matrix,
+                node_results=[chunk for _, chunk in outputs],
+                communication_bytes=communication_bytes,
+            )
             record_work(assemble_span, result)
             return result
-
-    # ------------------------------------------------------------------
-    def _assemble_sequentially(self) -> ParallelSetupResult:
-        """Execute every partition in-process, recording per-partition times."""
-        n = self.assembler.num_basis_functions
-        matrix = np.zeros((n, n))
-        node_results: list[ChunkResult] = []
-        for part in self.partitions():
-            _, result = self.assembler.assemble_chunk(part.start, part.stop, out=matrix)
-            node_results.append(result)
-        return ParallelSetupResult(
-            matrix=matrix,
-            node_results=node_results,
-            communication_bytes=[0] * self.num_nodes,
-        )
-
-    def _assemble_with_processes(self) -> ParallelSetupResult:
-        """Execute the partitions in a multiprocessing pool (Figure 4 flow)."""
-        n = self.assembler.num_basis_functions
-        matrix = np.zeros((n, n))
-        node_results: list[ChunkResult] = []
-        communication_bytes: list[int] = []
-        for partial, result in self.map_pool(_shared_worker, self.partitions()):
-            matrix += partial
-            node_results.append(result)
-            communication_bytes.append(int(partial.nbytes))
-        return ParallelSetupResult(
-            matrix=matrix,
-            node_results=node_results,
-            communication_bytes=communication_bytes,
-        )

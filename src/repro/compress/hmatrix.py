@@ -21,19 +21,20 @@ is bit-identical to per-block assembly.
 Block assembly is worker-partitioned: the flat block list is divided into
 ``num_workers`` contiguous partitions with
 :func:`repro.assembly.partition.partition_range` (the same equal-split idiom
-as the parallel Galerkin assemblers) and each partition is executed on one
-of three executors:
+as the parallel Galerkin assemblers) and the partitions are mapped over
+:func:`repro.parallel.executor.map_jobs` in one of its modes:
 
 * ``"serial"`` — partitions run one after another in the current process
-  (the historical behaviour, and the reference the others must match);
-* ``"thread"`` (default) — a thread pool.  Partitions overlap only while
-  the kernel core is inside NumPy calls that release the GIL; the Python
-  around them serialises.  On the bus 6x6 ``face_refinement=2``,
-  ``leaf_size=16`` system (N=360, 80 far blocks) on a 2-core Xeon host,
-  the median build took 0.98 s serial and 0.63 s on 2 threads;
-* ``"process"`` — a ``fork`` pool reusing the worker-tuple idiom of the
-  distributed Galerkin assembler: each worker rebuilds the entry oracle and
-  the (deterministic) block partition from
+  (the reference the others must match);
+* ``"thread"`` (default) — one thread per partition, each calling the
+  caller's own entry oracle.  Partitions overlap only while the kernel core
+  is inside NumPy calls that release the GIL; the Python around them
+  serialises.  On the bus 6x6 ``face_refinement=2``, ``leaf_size=16``
+  system (N=360, 80 far blocks) on a 2-core Xeon host, the median build
+  took 0.98 s serial and 0.63 s on 2 threads;
+* ``"process"`` — one forked worker per partition, using the worker-tuple
+  idiom of the distributed Galerkin assembler: each worker rebuilds the
+  entry oracle and the (deterministic) block partition from
   :meth:`~repro.compress.entries.GalerkinEntries.worker_tuple` and ships
   its block entries back over the pipe.
 
@@ -45,9 +46,8 @@ partition's wall-clock time measured inside its worker.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -59,18 +59,15 @@ from repro.compress.blocktree import Block, BlockClusterTree
 from repro.compress.cluster import ClusterTree
 from repro.compress.entries import GalerkinEntries
 from repro.obs import clock
-from repro.obs.trace import propagate, record_span, span
+from repro.obs.trace import record_span, span
+from repro.parallel.executor import check_mode, map_jobs
 
 __all__ = [
-    "ASSEMBLY_EXECUTORS",
     "DenseBlockEntry",
     "LowRankBlockEntry",
     "HMatrix",
     "build_hmatrix",
 ]
-
-#: Executor modes of the parallel block assembly.
-ASSEMBLY_EXECUTORS = ("serial", "thread", "process")
 
 
 @dataclass
@@ -311,10 +308,7 @@ def build_hmatrix(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-    if executor not in ASSEMBLY_EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {ASSEMBLY_EXECUTORS}, got {executor!r}"
-        )
+    check_mode(executor)
     with span(
         "assembly.build_hmatrix",
         executor=executor,
@@ -324,39 +318,26 @@ def build_hmatrix(
         blocks = _upper_blocks(entries, leaf_size, eta)
         parts = partition_range(len(blocks), num_workers)
 
-        if num_workers == 1 or executor == "serial":
-            partition_results = [
-                _assemble_partition(entries, blocks[p.start : p.stop], epsilon, max_rank)
-                for p in parts
-            ]
-        elif executor == "thread":
-            with ThreadPoolExecutor(max_workers=num_workers) as pool:
-                futures = [
-                    pool.submit(
-                        propagate(
-                            _assemble_partition,
-                            entries,
-                            blocks[p.start : p.stop],
-                            epsilon,
-                            max_rank,
-                        )
-                    )
-                    for p in parts
-                ]
-                partition_results = [future.result() for future in futures]
-        else:
+        if num_workers > 1 and executor == "process":
             jobs = [
                 (entries.worker_tuple(), epsilon, max_rank, leaf_size, eta, p.start, p.stop)
                 for p in parts
             ]
-            context = multiprocessing.get_context("fork")
-            with context.Pool(processes=num_workers) as pool:
-                partition_results = pool.map(_process_worker, jobs)
+            partition_results = map_jobs(_process_worker, jobs, mode="process", workers=num_workers)
             # The fork workers cannot reach the in-process trace; their
             # wall times come back over the pipe and are re-attached as
             # synthesized spans so the tree still accounts for the work.
             for index, (_, _, seconds) in enumerate(partition_results):
                 record_span("assembly.partition", seconds, worker=index, executor="process")
+        else:
+            # In-process modes call the caller's own oracle instance.
+            assemble = partial(_assemble_partition, entries, epsilon=epsilon, max_rank=max_rank)
+            partition_results = map_jobs(
+                assemble,
+                [blocks[p.start : p.stop] for p in parts],
+                mode="serial" if num_workers == 1 else executor,
+                workers=num_workers,
+            )
 
         # Deterministic merge: block lists concatenated in partition order
         # keep the result bit-identical to (and ordered like) the serial
@@ -427,7 +408,7 @@ def _assemble_partition(
 def _process_worker(
     args: tuple,
 ) -> tuple[list[DenseBlockEntry], list[LowRankBlockEntry], float]:
-    """Fork-pool worker: rebuild the oracle and assemble one partition.
+    """Worker process: rebuild the oracle and assemble one partition.
 
     The block partition is recomputed from the rebuilt oracle — cluster
     tree construction is deterministic, so the worker's ``[start, stop)``

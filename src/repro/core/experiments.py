@@ -271,8 +271,9 @@ def run_table3(
     and distributed-memory flows; every partition's compute time comes from
     the calibrated workload model (per-category unit costs measured on this
     machine times the partition's evaluated counts), and the simulated
-    parallel machine adds the communication/overhead terms (see DESIGN.md
-    for why this substitution preserves the measured quantity).
+    parallel machine adds the communication/overhead terms (see
+    :mod:`repro.parallel` for why this substitution preserves the measured
+    quantity).
 
     Besides the modelled efficiencies, which rest on timings, the data holds
     deterministic work quantities per flow and node count: the *work

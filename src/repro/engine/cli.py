@@ -50,6 +50,7 @@ import sys
 from repro.engine.registry import available_backends, get_backend
 from repro.engine.request import DEFAULT_BACKEND
 from repro.geometry import generators
+from repro.parallel.executor import MODES
 
 __all__ = ["main"]
 
@@ -492,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     extract_parser.add_argument("--json", action="store_true", help="emit JSON")
     extract_parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="serial"
+        "--executor", choices=MODES, default="serial"
     )
     extract_parser.add_argument("--workers", type=int, default=None)
     extract_parser.set_defaults(handler=_command_extract)
@@ -504,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         "--full", action="store_true", help="use the larger workload sizes"
     )
     bench_parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="thread"
+        "--executor", choices=MODES, default="thread"
     )
     bench_parser.add_argument("--workers", type=int, default=2)
     bench_parser.add_argument(
@@ -644,7 +645,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     solver_parser.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=MODES,
         default="thread",
         help="parallel-assembly executor of the multi-worker builds (default: thread)",
     )
@@ -744,7 +745,7 @@ def main(argv: list[str] | None = None) -> int:
         help="golden-reference directory (default: benchmarks/golden/)",
     )
     accuracy_parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="serial"
+        "--executor", choices=MODES, default="serial"
     )
     accuracy_parser.add_argument("--workers", type=int, default=None)
     accuracy_parser.add_argument(

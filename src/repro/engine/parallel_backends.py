@@ -25,8 +25,9 @@ executor:
     ``"simulated"`` (default) executes the partitions one after another in
     the current process, recording per-worker times — the mode consumed by
     the simulated parallel machine and the scaling harness, independent of
-    the host's physical core count.  ``"process"`` runs the partitions on a
-    real ``multiprocessing`` pool, exercising the actual fork/pipe path.
+    the host's physical core count.  ``"process"`` runs the partitions in
+    forked worker processes (:mod:`repro.parallel.executor`), exercising
+    the actual fork/pipe path.
 tolerance, order_near, order_far, batch_size:
     Assembly accuracy/vectorisation knobs, as in
     :class:`~repro.core.config.ExtractionConfig`.

@@ -2,12 +2,14 @@
 
 :class:`ExtractionService` is the serving layer of the engine: it accepts a
 batch of :class:`~repro.engine.request.ExtractionRequest` objects, fans the
-distinct jobs out over a bounded thread/process pool, deduplicates identical
+distinct jobs out over a bounded worker pool
+(:func:`repro.parallel.executor.map_jobs`), deduplicates identical
 requests (within the batch and against previous batches via a fingerprint-
 keyed LRU cache), and reports per-request status plus aggregate throughput.
 
 Failures are contained: a backend raising on one request marks that request
-``"failed"`` in the report instead of aborting the batch.
+``"failed"`` in the report instead of aborting the batch; a killed worker
+process (``BrokenProcessPool``) marks every request of its batch ``"failed"``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import copy
 import os
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from repro.core.results import ExtractionResult
@@ -25,11 +26,10 @@ from repro.geometry.layout import Layout
 from repro.obs import clock
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter, histogram
-from repro.obs.trace import propagate, span
+from repro.obs.trace import span
+from repro.parallel.executor import check_mode, map_jobs
 
 __all__ = ["ExtractionService"]
-
-_EXECUTORS = ("serial", "thread", "process")
 
 _logger = get_logger("engine.service")
 
@@ -46,14 +46,7 @@ _EXTRACT_SECONDS = histogram(
 
 
 def _execute_request(backend_name: str, layout: Layout, options: dict) -> tuple[ExtractionResult, float]:
-    """Run one request and time it (module-level so process pools can pickle it).
-
-    In a process pool the child imports :mod:`repro.engine` afresh, which
-    registers the stock backends; custom backends registered only in the
-    parent are available in ``"thread"`` and ``"serial"`` modes.
-    """
-    import repro.engine  # noqa: F401  (registers the default backends in workers)
-
+    """Run one request and time it."""
     with span("engine.extract", backend=backend_name):
         start = clock.now()
         try:
@@ -67,6 +60,15 @@ def _execute_request(backend_name: str, layout: Layout, options: dict) -> tuple[
     return result, seconds
 
 
+def _execute_contained(job: tuple[str, Layout, dict]) -> tuple[ExtractionResult | None, float, str | None]:
+    """Run one ``(backend, layout, options)`` job; a failure becomes its error text."""
+    try:
+        result, seconds = _execute_request(*job)
+    except Exception as exc:  # contain per-request failures
+        return None, 0.0, f"{type(exc).__name__}: {exc}"
+    return result, seconds, None
+
+
 class ExtractionService:
     """Serve batches of extraction requests through the backend registry.
 
@@ -78,9 +80,9 @@ class ExtractionService:
         mode.
     executor:
         ``"thread"`` (default) runs requests on a thread pool -- the numpy
-        kernels release the GIL for the heavy parts; ``"process"`` uses a
-        process pool for full parallelism at pickling cost; ``"serial"``
-        runs inline, which is deterministic and simplest to debug.
+        kernels release the GIL for the heavy parts; ``"process"`` uses
+        forked worker processes for full parallelism at pickling cost;
+        ``"serial"`` runs inline, which is deterministic and simplest to debug.
     cache_capacity:
         Maximum number of results kept in the fingerprint-keyed LRU cache;
         ``0`` disables caching.
@@ -92,8 +94,7 @@ class ExtractionService:
         executor: str = "thread",
         cache_capacity: int = 256,
     ):
-        if executor not in _EXECUTORS:
-            raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
+        check_mode(executor)
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if cache_capacity < 0:
@@ -245,60 +246,18 @@ class ExtractionService:
         self, jobs: Sequence[tuple[str, ExtractionRequest]]
     ) -> list[tuple[str, tuple[ExtractionResult | None, float, str | None]]]:
         """Execute the deduplicated jobs under the configured executor."""
-        if not jobs:
-            return []
-        # Only "serial" (and a single job on the thread executor) runs
-        # inline: a process pool is always honoured so its isolation and
-        # fresh-import semantics do not depend on the batch size.
-        if self.executor == "serial" or (self.executor == "thread" and len(jobs) == 1):
-            return [(fp, self._run_one(request)) for fp, request in jobs]
-
+        # A single job on the thread executor runs inline; a process pool is
+        # always honoured so its isolation does not depend on the batch size.
+        mode = "serial" if self.executor == "thread" and len(jobs) == 1 else self.executor
         workers = self.max_workers or min(os.cpu_count() or 1, 8)
-        workers = min(workers, len(jobs))
-        pool: Executor
-        if self.executor == "process":
-            pool = ProcessPoolExecutor(max_workers=workers)
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="extract")
-        with pool:
-            if self.executor == "process":
-                # Pickled into a fresh interpreter: no trace context to carry.
-                futures = [
-                    (fp, pool.submit(_execute_request, request.backend, request.layout, request.options))
-                    for fp, request in jobs
-                ]
-            else:
-                # Thread pools start their callables with an empty context;
-                # propagate() keeps the caller's active trace visible inside.
-                futures = [
-                    (
-                        fp,
-                        pool.submit(
-                            propagate(_execute_request, request.backend, request.layout, request.options)
-                        ),
-                    )
-                    for fp, request in jobs
-                ]
-            outcomes = []
-            for fp, future in futures:
-                try:
-                    result, seconds = future.result()
-                    outcomes.append((fp, (result, seconds, None)))
-                except Exception as exc:  # contain per-request failures
-                    _logger.warning(
-                        "extraction failed", extra={"error": f"{type(exc).__name__}: {exc}"}
-                    )
-                    outcomes.append((fp, (None, 0.0, f"{type(exc).__name__}: {exc}")))
-        return outcomes
-
-    @staticmethod
-    def _run_one(request: ExtractionRequest) -> tuple[ExtractionResult | None, float, str | None]:
+        work = [(request.backend, request.layout, request.options) for _, request in jobs]
         try:
-            result, seconds = _execute_request(request.backend, request.layout, request.options)
-            return result, seconds, None
-        except Exception as exc:  # contain per-request failures
-            _logger.warning(
-                "extraction failed",
-                extra={"backend": request.backend, "error": f"{type(exc).__name__}: {exc}"},
-            )
-            return None, 0.0, f"{type(exc).__name__}: {exc}"
+            outcomes = map_jobs(_execute_contained, work, mode=mode, workers=workers)
+        except Exception as exc:  # the pool failed (a killed worker, an unpicklable job)
+            outcomes = [(None, 0.0, f"{type(exc).__name__}: {exc}") for _ in jobs]
+        for (_, request), (_, _, error) in zip(jobs, outcomes):
+            if error is not None:
+                _logger.warning(
+                    "extraction failed", extra={"backend": request.backend, "error": error}
+                )
+        return [(key, outcome) for (key, _), outcome in zip(jobs, outcomes)]

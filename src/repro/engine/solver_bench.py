@@ -42,9 +42,10 @@ import numpy as np
 from repro.analysis.report import format_table
 from repro.basis.instantiate import InstantiationConfig, build_basis_set
 from repro.compress.entries import GalerkinEntries
-from repro.compress.hmatrix import ASSEMBLY_EXECUTORS, build_hmatrix
+from repro.compress.hmatrix import build_hmatrix
 from repro.core.experiments import ExperimentReport
 from repro.greens.policy import ApproximationPolicy
+from repro.parallel.executor import check_mode
 from repro.solver.iterative import gmres_solve
 
 __all__ = [
@@ -103,10 +104,7 @@ def run_solver_bench(
     """
     if sizes is None:
         sizes = SOLVER_SWEEP_SIZES["quick" if quick else "full"]
-    if executor not in ASSEMBLY_EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {ASSEMBLY_EXECUTORS}, got {executor!r}"
-        )
+    check_mode(executor)
     counts = sorted({int(w) for w in worker_counts} | {1})
     if counts[0] < 1:
         raise ValueError(f"worker counts must be >= 1, got {counts[0]}")

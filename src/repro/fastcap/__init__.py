@@ -15,8 +15,7 @@ package implements that architecture from scratch:
   Table 2 comparison needs.
 
 The expansion order and acceptance criterion reproduce FASTCAP's behaviour
-(a few-percent accuracy at a fraction of the dense cost); see DESIGN.md for
-the exact substitutions.
+(a few-percent accuracy at a fraction of the dense cost).
 """
 
 from repro.fastcap.octree import ClusterTree, ClusterNode

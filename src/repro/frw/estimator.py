@@ -1,4 +1,4 @@
-"""Deterministic batched FRW estimation with process fan-out.
+"""Deterministic batched FRW estimation with worker-process fan-out.
 
 The estimator splits each conductor's walks into fixed-size batches and
 derives every batch's generator from ``(seed, conductor, batch_index)``
@@ -21,9 +21,10 @@ Two stopping modes share that machinery:
 Each round is cut into contiguous *groups* of batches that walk in
 lockstep (:func:`~repro.frw.walks.run_walk_batches`): serially the whole
 round is one group; with ``num_workers > 1`` the round is split into at
-most ``num_workers`` groups that fan out over one ``fork`` pool opened for
-the whole estimate (the worker-tuple idiom of the parallel assemblers,
-shipping the scene once per group).  Groups are further capped at
+most ``num_workers`` groups that fan out over one ``process``-mode
+:class:`~repro.parallel.executor.WorkerPool` kept for the whole estimate
+(the worker-tuple idiom of the parallel assemblers, shipping the scene
+once per group).  Groups are further capped at
 ``_GROUP_WALK_BOXES`` walks x scene boxes, which bounds the distance
 oracle's temporaries.  Which group a batch runs in never changes its
 result.  Each group is timed where it ran; the parent re-attaches the
@@ -32,11 +33,7 @@ timings as ``frw.group`` spans and feeds the walk/hop counters.
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
 from dataclasses import dataclass
-from multiprocessing.pool import Pool
-from typing import Any
 
 import numpy as np
 
@@ -44,6 +41,7 @@ from repro.frw.scene import WalkScene
 from repro.frw.walks import WalkBatchResult, WalkGroupResult, run_walk_batches
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import record_span
+from repro.parallel.executor import WorkerPool
 
 __all__ = ["FRWEstimate", "estimate_capacitance"]
 
@@ -95,7 +93,7 @@ class FRWEstimate:
         Total sphere hops per source conductor.
     walk_seconds:
         Summed wall time of the lockstep walk groups, each measured where
-        it ran (CPU-seconds of walking; under a process pool this exceeds
+        it ran (CPU-seconds of walking; with worker processes this exceeds
         the elapsed wall clock).
     rel_std:
         Matrix-level relative standard error,
@@ -120,7 +118,7 @@ class FRWEstimate:
 
 
 def _group_worker(job: tuple) -> WalkGroupResult:
-    """Fork-pool entry point: rebuild the batch generators, walk one group."""
+    """Worker entry point: rebuild the batch generators, walk one group."""
     scene, batches, antithetic, max_hops = job
     specs = [
         (source, size, np.random.default_rng(seed_key)) for source, size, seed_key in batches
@@ -205,14 +203,9 @@ def _groups(batches: list[tuple], num_parts: int, num_boxes: int) -> list[list[t
     return groups
 
 
-def _run_groups(jobs: list[tuple], pool: Pool | None) -> list[WalkGroupResult]:
-    """Run group jobs in-process or on the pool (in job order), with telemetry."""
-    if pool is None:
-        results = [_group_worker(job) for job in jobs]
-        executor = "serial"
-    else:
-        results = pool.map(_group_worker, jobs)
-        executor = "process"
+def _run_groups(jobs: list[tuple], pool: WorkerPool) -> list[WalkGroupResult]:
+    """Run group jobs on the pool (in job order), with telemetry."""
+    results = pool.map(_group_worker, jobs)
     for job, result in zip(jobs, results):
         batches = result.batches
         record_span(
@@ -222,7 +215,7 @@ def _run_groups(jobs: list[tuple], pool: Pool | None) -> list[WalkGroupResult]:
             walks=sum(size for _, size, _ in job[1]),
             hops=result.hops,
             steps=result.steps,
-            executor=executor,
+            executor=pool.mode,
         )
         _WALKS_TOTAL.inc(float(sum(int(b.hits.sum()) for b in batches)), outcome="hit")
         _WALKS_TOTAL.inc(float(sum(b.escaped for b in batches)), outcome="escaped")
@@ -275,8 +268,8 @@ def estimate_capacitance(
         ``(seed, conductor, batch_index)``, making the estimate
         bit-identical for any ``num_workers``.
     num_workers:
-        Process-pool width for the walk batches (``<= 1`` walks serially
-        in-process).
+        Number of worker processes walking the batches (``<= 1`` walks
+        serially in-process).
     antithetic:
         Generalized-antithetic pairing (default) vs plain sampling.
     batch_size:
@@ -299,7 +292,7 @@ def estimate_capacitance(
     parallel = num_workers > 1 and scene.num_conductors * len(round_sizes) > 1
     walk_seconds = 0.0
 
-    def run_round(pool: Pool | None) -> None:
+    def run_round(pool: WorkerPool) -> None:
         nonlocal walk_seconds
         batches = [
             (source, size, (seed, source, rows[source].batches + offset))
@@ -313,12 +306,7 @@ def estimate_capacitance(
             for (source, size, _), batch in zip(group, result.batches):
                 rows[source].add(batch, walks=size)
 
-    pool_context: contextlib.AbstractContextManager[Any] = (
-        multiprocessing.get_context("fork").Pool(processes=num_workers)
-        if parallel
-        else contextlib.nullcontext()
-    )
-    with pool_context as pool:
+    with WorkerPool("process" if parallel else "serial", num_workers) as pool:
         run_round(pool)
         if target_rel_std is not None:
             while (

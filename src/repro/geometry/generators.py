@@ -6,7 +6,7 @@
   ``bus_crossing(24, 24)`` is the structure of Table 3 / Figure 8.
 * :func:`transistor_interconnect` -- a synthetic multi-layer transistor-cell
   interconnect block standing in for the industry-provided structure of
-  Figure 7 (left) / Table 2 (see DESIGN.md, substitution table).
+  Figure 7 (left) / Table 2.
 * :func:`parallel_plates`, :func:`plate_over_ground`, :func:`single_plate`,
   :func:`comb_capacitor` -- classic verification structures with known or
   easily bounded capacitances, used by the test-suite.

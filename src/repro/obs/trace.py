@@ -9,8 +9,8 @@ boundaries and -- with the two explicit helpers below -- across thread
 pools and worker tasks:
 
 * :func:`propagate` wraps a callable so it runs under a copy of the
-  caller's context (``loop.run_in_executor`` and
-  ``ThreadPoolExecutor.submit`` do not propagate context by themselves);
+  caller's context (``loop.run_in_executor`` and a thread pool's
+  ``submit`` do not propagate context by themselves);
 * :func:`carrier` / :func:`attach` hand the active trace to code running
   in a *different* task's context (the shard worker tasks of the server,
   which are created long before any request exists).
@@ -335,7 +335,7 @@ def attach(handle: SpanCarrier | None) -> _AttachContext:
 def propagate(function: Callable[..., T], *args: Any, **kwargs: Any) -> Callable[[], T]:
     """Bind a callable to a copy of the caller's context.
 
-    ``loop.run_in_executor`` and ``ThreadPoolExecutor.submit`` run their
+    ``loop.run_in_executor`` and a thread pool's ``submit`` run their
     callables with an empty context; wrapping the submission in
     ``propagate`` keeps the active trace (and any other context variables)
     visible inside the worker thread.

@@ -1,4 +1,4 @@
-"""Parallel execution substrate: simulated machine and timing helpers.
+"""Parallel execution substrate: worker-pool seam, simulated machine, timing helpers.
 
 The paper evaluates its solver on a 4-core shared-memory machine (OpenMP)
 and a 2-processor/10-core distributed-memory machine (MPI).  The evaluation
@@ -9,8 +9,10 @@ parallel decomposition (Algorithm 1's work partition, the per-node compute
 times measured while executing each partition, and the communication volumes
 of the distributed flow) on a simple machine model, which reproduces the
 quantities Figure 8 and Table 3 are about: load balance, serial fraction and
-communication overhead.  The real ``multiprocessing`` backends in
-:mod:`repro.assembly` remain available for functional verification.
+communication overhead.  The real worker-process flows in
+:mod:`repro.assembly` remain available for functional verification; they,
+like every other compute fan-out of the package, run through
+:mod:`repro.parallel.executor`.
 """
 
 from repro.parallel.machine import (

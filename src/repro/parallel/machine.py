@@ -20,13 +20,14 @@ show the conclusions are insensitive to the exact values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.assembly.batch import ChunkResult
-from repro.assembly.shared_memory import ParallelSetupResult
+if TYPE_CHECKING:
+    from repro.assembly.batch import ChunkResult
+    from repro.assembly.shared_memory import ParallelSetupResult
 
 __all__ = [
     "MachineModel",
@@ -66,8 +67,8 @@ def with_predicted_times(
     setup: ParallelSetupResult, unit_costs: dict[str, float]
 ) -> ParallelSetupResult:
     """Copy of a setup result with node times replaced by the workload model."""
-    return ParallelSetupResult(
-        matrix=setup.matrix,
+    return replace(
+        setup,
         node_results=[
             r.with_elapsed(r.predicted_seconds(unit_costs)) for r in setup.node_results
         ],

@@ -28,7 +28,9 @@ def mixed_batch(crossing_layout):
 
 
 class TestExtractionService:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize(
+        "executor", ["serial", "thread", pytest.param("process", marks=pytest.mark.multiprocess)]
+    )
     def test_mixed_backend_batch_completes(self, mixed_batch, executor):
         service = ExtractionService(executor=executor, max_workers=2)
         report = service.extract_batch(mixed_batch)
@@ -44,6 +46,24 @@ class TestExtractionService:
         np.testing.assert_array_equal(
             report.statuses[3].result.capacitance, report.statuses[1].result.capacitance
         )
+
+    @pytest.mark.multiprocess
+    def test_process_workers_run_nested_process_assembly(self, crossing_layout):
+        # Each service worker process forks the assembly's own worker pool.
+        requests = [
+            ExtractionRequest(
+                crossing_layout, backend=backend, options={"executor": "process", "workers": 2}
+            )
+            for backend in ("galerkin-shared", "galerkin-distributed")
+        ]
+        nested = ExtractionService(executor="process", max_workers=2).extract_batch(requests)
+        serial = ExtractionService(executor="serial").extract_batch(
+            [ExtractionRequest(r.layout, backend=r.backend, options={"workers": 2}) for r in requests]
+        )
+        assert [s.status for s in nested.statuses] == ["completed", "completed"]
+        for got, want in zip(nested.results, serial.results):
+            assert got.metadata["executor"] == "process"
+            np.testing.assert_allclose(got.capacitance, want.capacitance, rtol=1e-12)
 
     def test_repeat_batch_is_all_cache_hits(self, mixed_batch, monkeypatch):
         # Count backend executions instead of comparing wall clocks: a hit

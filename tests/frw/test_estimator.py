@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import multiprocessing.pool
+import concurrent.futures
 
 import numpy as np
 import pytest
@@ -131,13 +131,13 @@ class TestAdaptiveMode:
     @pytest.mark.multiprocess
     def test_rounds_share_one_pool(self, scene, monkeypatch):
         opened = []
-        init = multiprocessing.pool.Pool.__init__
+        init = concurrent.futures.ProcessPoolExecutor.__init__
 
         def counting_init(pool, *args, **kwargs):
             opened.append(pool)
             init(pool, *args, **kwargs)
 
-        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", counting_init)
         estimate = estimate_capacitance(
             scene,
             num_walks=256,
