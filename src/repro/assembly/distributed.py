@@ -12,7 +12,9 @@ in-process execution (used by the simulated parallel machine -- identical
 arithmetic, per-node times and communication volumes, independent of the
 host's physical core count) and forked worker processes
 (:func:`repro.parallel.executor.map_jobs`) with the partial matrices
-transferred over pipes, which exercises the actual send/receive path.
+transferred over pipes, which exercises the actual send/receive path.  Both
+run the same closure over the parent's assembler, which forked workers
+inherit (evaluator included) instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -22,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.assembly.batch import BatchGalerkinAssembler, ChunkResult, symmetrize_upper
-from repro.assembly.shared_memory import (
-    ParallelSetupResult,
-    PartitionedAssembler,
-    rebuild_assembler,
-    record_work,
-)
+from repro.assembly.shared_memory import ParallelSetupResult, PartitionedAssembler, record_work
 from repro.obs.trace import span
 from repro.parallel.executor import map_jobs
 
@@ -73,11 +70,6 @@ def _column_block(
     return PartialMatrix(first, last, full[:, first : last + 1].copy()), result
 
 
-def _distributed_worker(job: tuple) -> tuple[PartialMatrix, ChunkResult]:
-    """Worker process: assemble one partition into a column-restricted block."""
-    return _column_block(*rebuild_assembler(job))
-
-
 class DistributedAssembler(PartitionedAssembler):
     """MPI-like parallel assembler with partial-matrix communication.
 
@@ -88,12 +80,13 @@ class DistributedAssembler(PartitionedAssembler):
     def assemble(self) -> ParallelSetupResult:
         """Run the distributed-memory system-setup flow."""
         with span("assembly.assemble", flow="distributed", nodes=self.num_nodes) as assemble_span:
-            parts = self.partitions()
-            if self.pooled:
-                jobs = [self.worker_job(part) for part in parts]
-                blocks = map_jobs(_distributed_worker, jobs, mode="process", workers=self.num_nodes)
-            else:
-                blocks = [_column_block(self.assembler, p.start, p.stop) for p in parts]
+            assembler = self.assembler
+            blocks = map_jobs(
+                lambda part: _column_block(assembler, part.start, part.stop),
+                self.partitions(),
+                mode="process" if self.pooled else "serial",
+                workers=self.num_nodes,
+            )
 
             # Merge: the main process' own partition is blocks[0]; the
             # others arrive as column-restricted messages that are shifted

@@ -16,12 +16,16 @@ provided:
   mode of :func:`repro.parallel.executor.map_jobs` (one forked worker per
   node), each worker returning its private partial matrix which the main
   process accumulates -- the functional equivalent of the OpenMP flow of
-  Figure 4.  A worker that dies raises ``BrokenProcessPool``.
+  Figure 4.  The workers run a closure over the parent's assembler, which
+  they inherit at the fork with the template definitions, so nothing is
+  rebuilt or pickled on the way in: only the partition bounds go out and the
+  partial matrices come back.  The assembler carries its
+  ``collocation_fn``, so the acceleration techniques run in workers too.  A
+  worker that dies raises ``BrokenProcessPool``.
 
 :class:`PartitionedAssembler` holds what this flow shares with the
-distributed one (:mod:`repro.assembly.distributed`): the constructor, the
-equal partitioning, the job tuple pickled to a worker and the worker's
-rebuild of the batch assembler.
+distributed one (:mod:`repro.assembly.distributed`): the constructor and the
+equal partitioning.
 """
 
 from __future__ import annotations
@@ -97,33 +101,8 @@ def record_work(assemble_span: Span | None, result: ParallelSetupResult) -> None
     )
 
 
-def rebuild_assembler(job: tuple) -> tuple[BatchGalerkinAssembler, int, int]:
-    """Rebuild, in a worker process, the assembler and partition of a job.
-
-    The job is :meth:`PartitionedAssembler.worker_job`; every evaluation
-    choice is deterministic, so the rebuilt assembler is arithmetically
-    identical to the parent's.
-    """
-    basis_set, permittivity, policy, order_near, order_far, batch_size, start, stop = job
-    assembler = BatchGalerkinAssembler(
-        basis_set,
-        permittivity,
-        policy=policy,
-        order_near=order_near,
-        order_far=order_far,
-        batch_size=batch_size,
-    )
-    return assembler, start, stop
-
-
-def _shared_worker(job: tuple) -> tuple[np.ndarray, ChunkResult]:
-    """Worker process: assemble one partition into a private matrix."""
-    assembler, start, stop = rebuild_assembler(job)
-    return assembler.assemble_chunk(start, stop)
-
-
 class PartitionedAssembler:
-    """Constructor, partitions and worker jobs of the parallel flows.
+    """Constructor and partitions of the parallel flows.
 
     Parameters
     ----------
@@ -133,8 +112,6 @@ class PartitionedAssembler:
         Number of parallel computing nodes ``D``.
     use_processes:
         Execute partitions in worker processes instead of sequentially.
-        A custom ``collocation_fn`` cannot be sent to worker processes, so
-        it is rejected when the pool would be used (``num_nodes > 1``).
     """
 
     def __init__(
@@ -154,11 +131,6 @@ class PartitionedAssembler:
         self.basis_set = basis_set
         self.num_nodes = int(num_nodes)
         self.use_processes = bool(use_processes)
-        if collocation_fn is not None and self.pooled:
-            raise ValueError(
-                "a custom collocation_fn cannot be sent to worker processes; "
-                "run the partitions in-process instead (use_processes=False)"
-            )
         self.assembler = BatchGalerkinAssembler(
             basis_set,
             permittivity,
@@ -178,20 +150,6 @@ class PartitionedAssembler:
         """Equal division of the iteration space over the nodes."""
         return partition_range(self.assembler.num_pairs, self.num_nodes)
 
-    def worker_job(self, part: WorkPartition) -> tuple:
-        """Argument tuple, pickled to a worker, that :func:`rebuild_assembler` reads."""
-        assembler = self.assembler
-        return (
-            self.basis_set,
-            assembler.permittivity,
-            assembler.policy,
-            assembler.order_near,
-            assembler.order_far,
-            assembler.batch_size,
-            part.start,
-            part.stop,
-        )
-
 
 class SharedMemoryAssembler(PartitionedAssembler):
     """OpenMP-like parallel assembler (parameters of :class:`PartitionedAssembler`)."""
@@ -209,8 +167,13 @@ class SharedMemoryAssembler(PartitionedAssembler):
             matrix = np.zeros((n, n))
             parts = self.partitions()
             if self.pooled:
-                jobs = [self.worker_job(part) for part in parts]
-                outputs = map_jobs(_shared_worker, jobs, mode="process", workers=self.num_nodes)
+                assembler = self.assembler
+                outputs = map_jobs(
+                    lambda part: assembler.assemble_chunk(part.start, part.stop),
+                    parts,
+                    mode="process",
+                    workers=self.num_nodes,
+                )
                 for partial, _ in outputs:
                     matrix += partial
                 communication_bytes = [int(partial.nbytes) for partial, _ in outputs]

@@ -32,8 +32,7 @@ as the parallel Galerkin assemblers) and the partitions are mapped over
   serialises.  On the bus 6x6 ``face_refinement=2``, ``leaf_size=16``
   system (N=360, 80 far blocks) on a 2-core Xeon host, the median build
   took 0.98 s serial and 0.63 s on 2 threads;
-* ``"process"`` — one forked worker per partition, using the worker-tuple
-  idiom of the distributed Galerkin assembler: each worker rebuilds the
+* ``"process"`` — one forked worker per partition: each worker rebuilds the
   entry oracle and the (deterministic) block partition from
   :meth:`~repro.compress.entries.GalerkinEntries.worker_tuple` and ships
   its block entries back over the pipe.

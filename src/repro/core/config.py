@@ -38,9 +38,9 @@ class ExtractionConfig:
         Parallel execution of the system setup (Section 5).  With
         ``use_processes=False`` the partitions are executed sequentially and
         timed individually, which is what the simulated parallel machine
-        consumes.  Worker processes cannot carry an acceleration
-        evaluator, so extraction refuses ``acceleration`` with
-        ``use_processes`` on more than one node.
+        consumes.  Forked worker processes inherit the parent's assembler,
+        acceleration evaluator included, so ``acceleration`` applies with
+        ``use_processes`` too.
     instantiation:
         Basis-instantiation knobs (crossing cut-off, face refinement,
         ablation switches).

@@ -28,6 +28,19 @@ therefore runs four steps:
    displacement, with the decisions read from the key.
 4. **Scatter** the distinct values back to the requested pairs.
 
+Steps 1 and 2 are bookkeeping, so the core keeps them cheap with
+structure-of-arrays tables built once per core: the centroid, ``lo`` and
+``hi`` corners as ``(3, M)`` tables with one contiguous row per axis, and one
+packed flag word per template (has-profile, is-arch and the normal axis).
+Every per-pair read is then a 1-D gather, and every Euclidean norm is
+written per axis as ``sqrt((x0*x0 + x1*x1) + x2*x2)``: the same arithmetic,
+in the same order, as ``np.linalg.norm(axis=1)`` over ``(n, 3)`` rows, so no
+threshold decision moves by a bit.  The quadrature kernels likewise select the coordinate of a
+tensor-grid node along an axis directly (the node's ``u`` or ``v``
+coordinate, or the panel offset along its normal) instead of building
+``(pairs, order**2, 3)`` point clouds; ``tests/greens/test_batched_bitwise.py``
+pins both equivalences bit for bit.
+
 The decisions are taken before deduplication and travel in the key; the
 canonical frame never recomputes them.  On regular layouts many pairs sit
 exactly on a threshold up to the last bit (box separation equal to the
@@ -127,6 +140,21 @@ _KEY_CHUNK = 16_384
 #: Bound of the mixed-radix row packing of :func:`_distinct_rows`.
 _PACK_LIMIT = 1 << 62
 
+#: Per-template flag word: has a profile, is a stock arch, and the normal
+#: axis in the bits from ``_AXIS_SHIFT`` up.
+_HAS_PROFILE = 1
+_IS_ARCH = 2
+_AXIS_SHIFT = 2
+
+
+def _norm(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Euclidean norms of per-axis components.
+
+    The sum order is that of ``np.linalg.norm(rows, axis=1)`` over
+    ``(n, 3)`` rows, so the result is bit-identical to it.
+    """
+    return np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+
 
 def _count(counts: dict[str, int], category: str, amount: int) -> None:
     """Accumulate the pair count of one evaluation category."""
@@ -216,10 +244,12 @@ class ArchProfileArrays:
 
 @dataclass
 class _Frame:
-    """Panel geometry the category kernels read, one row per panel.
+    """Panel geometry the category kernels read, one column per panel.
 
-    The kernels evaluate pairs of rows of one frame: the canonical frame of
-    the distinct keys of a call (see :meth:`BatchedKernelCore._canonical_frame`).
+    The kernels evaluate pairs of panels of one frame: the canonical frame
+    of the distinct keys of a call (see
+    :meth:`BatchedKernelCore._canonical_frame`).  ``lo``, ``hi`` and
+    ``centroid`` are ``(3, panels)`` tables, read as ``lo[axis, panel]``.
     """
 
     normal_axis: np.ndarray
@@ -233,6 +263,35 @@ class _Frame:
     moment: np.ndarray
     has_profile: np.ndarray
     profiles: ArchProfileArrays
+
+
+@dataclass
+class _Grid:
+    """Tensor-Gauss nodes over one panel per row.
+
+    ``uu`` / ``vv`` are the in-plane node coordinates and ``weights`` the
+    product weights, each of shape ``(rows, order**2)`` with u varying
+    slowest (the per-pair ``meshgrid(indexing="ij")`` layout).
+    """
+
+    u_axis: np.ndarray
+    v_axis: np.ndarray
+    offset: np.ndarray
+    uu: np.ndarray
+    vv: np.ndarray
+    weights: np.ndarray
+
+    def coordinate(self, axis: np.ndarray) -> np.ndarray:
+        """Coordinate of every node along the per-row global ``axis``.
+
+        That is the node's ``u`` or ``v`` coordinate, or the panel offset
+        along its normal.
+        """
+        return np.where(
+            (axis == self.u_axis)[:, None],
+            self.uu,
+            np.where((axis == self.v_axis)[:, None], self.vv, self.offset[:, None]),
+        )
 
 
 def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -311,6 +370,16 @@ class BatchedKernelCore:
         self._u_axis = u_axis
         self._v_axis = v_axis
         self.profiles = ArchProfileArrays.from_templates(arrays.templates, u_axis, v_axis)
+        # Structure-of-arrays tables, read-only after construction: one
+        # contiguous row per axis, so every per-pair read is a 1-D gather.
+        self._centroid = np.ascontiguousarray(arrays.centroid.T)
+        self._lo = np.ascontiguousarray(arrays.lo.T)
+        self._hi = np.ascontiguousarray(arrays.hi.T)
+        self._flags = (
+            _HAS_PROFILE * arrays.has_profile
+            + _IS_ARCH * self.profiles.is_arch
+            + (arrays.normal_axis << _AXIS_SHIFT)
+        ).astype(np.uint8)
         self._build_key_tables()
         # The per-pair reference integrator backs templates whose profile is
         # not a stock arch (the ShapeProfile protocol admits arbitrary
@@ -389,9 +458,9 @@ class BatchedKernelCore:
         """Lengths in whole quanta (int64)."""
         return np.rint(lengths / self.quantum).astype(np.int64)
 
-    def _displacement(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Snapped displacement ``lo_j - lo_i`` of every pair, shape ``(n, 3)``."""
-        return self._snap(self.arrays.lo[j] - self.arrays.lo[i])
+    def _displacement(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Snapped displacement ``lo_j - lo_i`` of every pair, one array per axis."""
+        return tuple(self._snap(lo[j] - lo[i]) for lo in self._lo)
 
     # ------------------------------------------------------------------
     @property
@@ -450,7 +519,7 @@ class BatchedKernelCore:
                     np.where(exact, self._shape_template.size + i, self._shape_class[i]),
                     np.where(exact, self._shape_template.size + j, self._shape_class[j]),
                     code,
-                    *self._displacement(i, j).T,
+                    *self._displacement(i, j),
                 ]
             )
             del exact
@@ -478,49 +547,46 @@ class BatchedKernelCore:
         bits a category reads are set, so pairs that evaluate alike share a
         code.
         """
-        arrays = self.arrays
-        distance = np.linalg.norm(arrays.centroid[i] - arrays.centroid[j], axis=1)
-        diagonal_i = arrays.diagonal[i]
-        diagonal_j = arrays.diagonal[j]
+        c0, c1, c2 = self._centroid
+        distance = _norm(c0[i] - c0[j], c1[i] - c1[j], c2[i] - c2[j])
+        diagonal_i = self.arrays.diagonal[i]
+        diagonal_j = self.arrays.diagonal[j]
         rho_max = 0.5 * np.maximum(diagonal_i, diagonal_j)
         rho_min = 0.5 * np.minimum(diagonal_i, diagonal_j)
         is_point = distance >= self.policy.point_distance_factor * rho_max
         is_colloc = distance >= self.policy.collocation_distance_factor * rho_min
         del distance, rho_max, rho_min
 
-        profiled_i = arrays.has_profile[i]
-        profiled_j = arrays.has_profile[j]
+        flags_i = self._flags[i]
+        flags_j = self._flags[j]
+        profiled_i = (flags_i & _HAS_PROFILE).astype(bool)
+        profiled_j = (flags_j & _HAS_PROFILE).astype(bool)
+        arch_i = (flags_i & _IS_ARCH).astype(bool)
+        arch_j = (flags_j & _IS_ARCH).astype(bool)
+        normal_i = flags_i >> _AXIS_SHIFT
+        parallel = normal_i == flags_j >> _AXIS_SHIFT
         # Pairs whose every profiled member is a stock arch run batched;
         # anything else (custom ShapeProfile implementations) falls back.
-        arch_ok = (~profiled_i | self.profiles.is_arch[i]) & (
-            ~profiled_j | self.profiles.is_arch[j]
-        )
+        arch_ok = (~profiled_i | arch_i) & (~profiled_j | arch_j)
         category = np.where(
             profiled_i | profiled_j,
             np.where(arch_ok, _PROFILED, _FALLBACK),
-            np.where(
-                is_colloc,
-                _COLLOCATION,
-                np.where(arrays.normal_axis[i] == arrays.normal_axis[j], _PARALLEL, _ORTHOGONAL),
-            ),
+            np.where(is_colloc, _COLLOCATION, np.where(parallel, _PARALLEL, _ORTHOGONAL)),
         )
         category[is_point] = _POINT
 
         # Outer quadrature order (GalerkinIntegrator._quadrature_order).
-        gap = np.maximum(
-            0.0, np.maximum(arrays.lo[i] - arrays.hi[j], arrays.lo[j] - arrays.hi[i])
-        )
-        near = np.linalg.norm(gap, axis=1) < np.maximum(diagonal_i, diagonal_j)
-        rows = np.arange(i.size)
-        exact = (
-            (category == _PROFILED)
-            & self.profiles.is_arch[i]
-            & self.profiles.is_arch[j]
-            & (arrays.normal_axis[i] == arrays.normal_axis[j])
-            & (gap[rows, self._u_axis[i]] == 0.0)
-            & (gap[rows, self._v_axis[i]] == 0.0)
-        )
-        del gap, rows
+        gap = [
+            np.maximum(0.0, np.maximum(lo[i] - hi[j], lo[j] - hi[i]))
+            for lo, hi in zip(self._lo, self._hi)
+        ]
+        near = _norm(*gap) < np.maximum(diagonal_i, diagonal_j)
+        # Two parallel arches whose gap vanishes along both in-plane axes
+        # (every axis but the common normal) overlap in-plane.
+        exact = (category == _PROFILED) & arch_i & arch_j & parallel
+        for axis, along in enumerate(gap):
+            exact &= (along == 0.0) | (normal_i == axis)
+        del gap
         # The smaller panel carries the outer quadrature / the midpoint.
         smaller_i = diagonal_i <= diagonal_j
         reads_order = (category == _ORTHOGONAL) | (category == _PROFILED)
@@ -548,11 +614,12 @@ class BatchedKernelCore:
         pair = np.concatenate([i, j])
         own = np.concatenate([exact, exact])
         template = np.where(own, pair, self._shape_template[self._shape_class[pair]])
-        lo = np.zeros((2 * size, 3))
-        lo[size:] = self._displacement(i, j) * self.quantum
-        hi = lo + (arrays.hi[template] - arrays.lo[template])
-        lo = np.where(own[:, None], arrays.lo[pair], lo)
-        hi = np.where(own[:, None], arrays.hi[pair], hi)
+        lo = np.zeros((3, 2 * size))
+        for row, steps in zip(lo, self._displacement(i, j)):
+            row[size:] = steps * self.quantum
+        hi = lo + (self._hi[:, template] - self._lo[:, template])
+        lo = np.where(own, self._lo[:, pair], lo)
+        hi = np.where(own, self._hi[:, pair], hi)
         rows = np.arange(2 * size)
         normal_axis = arrays.normal_axis[pair]
         axis = profiles.axis[pair]
@@ -560,7 +627,7 @@ class BatchedKernelCore:
             normal_axis=normal_axis,
             u_axis=self._u_axis[pair],
             v_axis=self._v_axis[pair],
-            offset=lo[rows, normal_axis],
+            offset=lo[normal_axis, rows],
             lo=lo,
             hi=hi,
             centroid=0.5 * (lo + hi),
@@ -573,7 +640,7 @@ class BatchedKernelCore:
                 edge=np.where(
                     own,
                     profiles.edge[pair],
-                    lo[rows, axis] + (profiles.edge[template] - arrays.lo[template, axis]),
+                    lo[axis, rows] + (profiles.edge[template] - self._lo[axis, template]),
                 ),
                 ingrowing=profiles.ingrowing[template],
                 extension=profiles.extension[template],
@@ -606,8 +673,10 @@ class BatchedKernelCore:
 
         mask = category == _POINT
         if np.any(mask):
-            distance = np.linalg.norm(frame.centroid[a[mask]] - frame.centroid[b[mask]], axis=1)
-            values[mask] = frame.moment[a[mask]] * frame.moment[b[mask]] / distance
+            c0, c1, c2 = frame.centroid
+            a_p, b_p = a[mask], b[mask]
+            distance = _norm(c0[a_p] - c0[b_p], c1[a_p] - c1[b_p], c2[a_p] - c2[b_p])
+            values[mask] = frame.moment[a_p] * frame.moment[b_p] / distance
         mask = category == _COLLOCATION
         if np.any(mask):
             values[mask] = self._collocation_level(frame, a[mask], b[mask], smaller_a[mask])
@@ -641,51 +710,34 @@ class BatchedKernelCore:
         weights = half[:, None] * ref_weights[None, :]
         return nodes, weights
 
-    def _tensor_points(
-        self, g: _Frame, t: np.ndarray, order: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Tensor-Gauss 3-D points and weights over panels ``t``.
-
-        Returns ``(points, weights, uu, vv)`` with ``points`` of shape
-        ``(len(t), order**2, 3)`` and the flattened in-plane node
-        coordinate grids (u varying slowest, matching the per-pair
-        ``meshgrid(indexing="ij")`` layout).
-        """
+    def _tensor_grid(self, g: _Frame, t: np.ndarray, order: int) -> _Grid:
+        """Tensor-Gauss nodes and weights over panels ``t``."""
         u_ax = g.u_axis[t]
         v_ax = g.v_axis[t]
-        nodes_u, w_u = self._interval_nodes(g.lo[t, u_ax], g.hi[t, u_ax], order)
-        nodes_v, w_v = self._interval_nodes(g.lo[t, v_ax], g.hi[t, v_ax], order)
+        nodes_u, w_u = self._interval_nodes(g.lo[u_ax, t], g.hi[u_ax, t], order)
+        nodes_v, w_v = self._interval_nodes(g.lo[v_ax, t], g.hi[v_ax, t], order)
         count = t.size
-        uu = np.broadcast_to(nodes_u[:, :, None], (count, order, order)).reshape(count, -1)
-        vv = np.broadcast_to(nodes_v[:, None, :], (count, order, order)).reshape(count, -1)
-        weights = (w_u[:, :, None] * w_v[:, None, :]).reshape(count, -1)
-
-        one_u = (np.arange(3)[None, :] == u_ax[:, None]).astype(float)
-        one_v = (np.arange(3)[None, :] == v_ax[:, None]).astype(float)
-        one_n = (np.arange(3)[None, :] == g.normal_axis[t][:, None]).astype(float)
-        points = (
-            uu[:, :, None] * one_u[:, None, :]
-            + vv[:, :, None] * one_v[:, None, :]
-            + g.offset[t][:, None, None] * one_n[:, None, :]
+        return _Grid(
+            u_axis=u_ax,
+            v_axis=v_ax,
+            offset=g.offset[t],
+            uu=np.broadcast_to(nodes_u[:, :, None], (count, order, order)).reshape(count, -1),
+            vv=np.broadcast_to(nodes_v[:, None, :], (count, order, order)).reshape(count, -1),
+            weights=(w_u[:, :, None] * w_v[:, None, :]).reshape(count, -1),
         )
-        return points, weights, uu, vv
 
-    def _coordinate(self, points: np.ndarray, axis: np.ndarray) -> np.ndarray:
-        """Gather ``points[p, :, axis[p]]`` for per-row axis selections."""
-        return np.take_along_axis(points, axis[:, None, None], axis=2)[:, :, 0]
-
-    def _panel_potential(self, g: _Frame, t: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Rectangle potential of panels ``t`` at per-pair field points."""
+    def _panel_potential(self, g: _Frame, t: np.ndarray, grid: _Grid) -> np.ndarray:
+        """Rectangle potential of panels ``t`` at the nodes of ``grid``."""
         u_ax = g.u_axis[t]
         v_ax = g.v_axis[t]
-        x = self._coordinate(points, u_ax)
-        y = self._coordinate(points, v_ax)
-        z = self._coordinate(points, g.normal_axis[t]) - g.offset[t][:, None]
+        x = grid.coordinate(u_ax)
+        y = grid.coordinate(v_ax)
+        z = grid.coordinate(g.normal_axis[t]) - g.offset[t][:, None]
         return self.collocation_fn(
-            x - g.lo[t, u_ax][:, None],
-            x - g.hi[t, u_ax][:, None],
-            y - g.lo[t, v_ax][:, None],
-            y - g.hi[t, v_ax][:, None],
+            x - g.lo[u_ax, t][:, None],
+            x - g.hi[u_ax, t][:, None],
+            y - g.lo[v_ax, t][:, None],
+            y - g.hi[v_ax, t][:, None],
             z,
         )
 
@@ -699,20 +751,16 @@ class BatchedKernelCore:
         small = np.where(smaller_is_i, i, j)
         large = np.where(smaller_is_i, j, i)
 
-        centroid = g.centroid[small]
         u_ax = g.u_axis[large]
         v_ax = g.v_axis[large]
-        normal = g.normal_axis[large]
-        rows = np.arange(small.size)
-
-        x = centroid[rows, u_ax]
-        y = centroid[rows, v_ax]
-        z = centroid[rows, normal] - g.offset[large]
+        x = g.centroid[u_ax, small]
+        y = g.centroid[v_ax, small]
+        z = g.centroid[g.normal_axis[large], small] - g.offset[large]
         potential = self.collocation_fn(
-            x - g.lo[large, u_ax],
-            x - g.hi[large, u_ax],
-            y - g.lo[large, v_ax],
-            y - g.hi[large, v_ax],
+            x - g.lo[u_ax, large],
+            x - g.hi[u_ax, large],
+            y - g.lo[v_ax, large],
+            y - g.hi[v_ax, large],
             z,
         )
         return g.area[small] * potential
@@ -722,10 +770,10 @@ class BatchedKernelCore:
         u_ax = g.u_axis[i]
         v_ax = g.v_axis[i]
 
-        ui = (g.lo[i, u_ax], g.hi[i, u_ax])
-        uj = (g.lo[j, u_ax], g.hi[j, u_ax])
-        vi = (g.lo[i, v_ax], g.hi[i, v_ax])
-        vj = (g.lo[j, v_ax], g.hi[j, v_ax])
+        ui = (g.lo[u_ax, i], g.hi[u_ax, i])
+        uj = (g.lo[u_ax, j], g.hi[u_ax, j])
+        vi = (g.lo[v_ax, i], g.hi[v_ax, i])
+        vj = (g.lo[v_ax, j], g.hi[v_ax, j])
         separation = g.offset[i] - g.offset[j]
 
         total = np.zeros(i.size)
@@ -765,9 +813,9 @@ class BatchedKernelCore:
         values = np.empty(small.size)
         for start in range(0, small.size, chunk):
             stop = min(start + chunk, small.size)
-            points, weights, _, _ = self._tensor_points(g, small[start:stop], order)
-            potentials = self._panel_potential(g, large[start:stop], points)
-            values[start:stop] = np.sum(weights * potentials, axis=1)
+            grid = self._tensor_grid(g, small[start:stop], order)
+            potentials = self._panel_potential(g, large[start:stop], grid)
+            values[start:stop] = np.sum(grid.weights * potentials, axis=1)
         return values
 
     # ------------------------------------------------------------------
@@ -821,31 +869,29 @@ class BatchedKernelCore:
     ) -> np.ndarray:
         profiles = g.profiles
 
-        points, weights, uu, vv = self._tensor_points(g, outer, order)
+        grid = self._tensor_grid(g, outer, order)
         # Outer weights include the arch profile along its varying axis.
-        on_u = profiles.axis[outer] == g.u_axis[outer]
-        coords = np.where(on_u[:, None], uu, vv)
-        weights = weights * profiles.values(outer, coords)
+        weights = grid.weights * profiles.values(outer, grid.coordinate(profiles.axis[outer]))
 
         if not shaped_inner:
-            potentials = self._panel_potential(g, inner, points)
+            potentials = self._panel_potential(g, inner, grid)
             return np.sum(weights * potentials, axis=1)
 
         # Inner arch template: Gauss quadrature along its profile axis of
         # the analytic strip integral along the other tangential axis.
         p_ax = profiles.axis[inner]
         s_ax = np.where(p_ax == g.u_axis[inner], g.v_axis[inner], g.u_axis[inner])
-        nodes_in, w_in = self._interval_nodes(g.lo[inner, p_ax], g.hi[inner, p_ax], order)
+        nodes_in, w_in = self._interval_nodes(g.lo[p_ax, inner], g.hi[p_ax, inner], order)
         shape_in = profiles.values(inner, nodes_in)
 
-        cp = self._coordinate(points, p_ax)
-        cs = self._coordinate(points, s_ax)
-        cz = self._coordinate(points, g.normal_axis[inner]) - g.offset[inner][:, None]
+        cp = grid.coordinate(p_ax)
+        cs = grid.coordinate(s_ax)
+        cz = grid.coordinate(g.normal_axis[inner]) - g.offset[inner][:, None]
 
         dp = cp[:, :, None] - nodes_in[:, None, :]
         dz = np.broadcast_to(cz[:, :, None], dp.shape)
-        b1 = (cs - g.lo[inner, s_ax][:, None])[:, :, None]
-        b2 = (cs - g.hi[inner, s_ax][:, None])[:, :, None]
+        b1 = (cs - g.lo[s_ax, inner][:, None])[:, :, None]
+        b2 = (cs - g.hi[s_ax, inner][:, None])[:, :, None]
         strips = strip_integral(b1, b2, dp, dz)
         inner_weights = w_in * shape_in
         potentials = np.einsum("pqk,pk->pq", strips, inner_weights)

@@ -7,13 +7,20 @@ job order, in one of the :data:`MODES`:
 * ``"serial"`` -- inline, one job after another;
 * ``"thread"`` -- a thread pool; each job runs under a copy of the caller's
   context (:func:`repro.obs.trace.propagate`), so its spans join the trace;
-* ``"process"`` -- a ``fork`` ``ProcessPoolExecutor``: jobs and results are
-  pickled, workers inherit the parent's state (the backend registry
-  included), and a dead worker raises ``BrokenProcessPool`` instead of
+* ``"process"`` -- a ``fork`` ``ProcessPoolExecutor``: workers inherit the
+  parent's state (the backend registry included), jobs and results are
+  pickled, and a dead worker raises ``BrokenProcessPool`` instead of
   hanging the caller.
 
-:func:`map_jobs` opens a pool of ``min(workers, len(jobs))`` for one call;
-:class:`WorkerPool` is the context-manager form that serves several calls.
+:func:`map_jobs` opens a pool of ``min(workers, len(jobs))`` for one call.
+In ``process`` mode that pool hands ``fn`` to its workers through the pool
+initializer: the forked workers inherit it with the rest of the parent's
+memory, so ``fn`` is never pickled and may be any callable -- a closure
+over the caller's assembler, say, or over an unpicklable lock.  Each call
+forks its own workers with its own ``fn``, so concurrent calls from several
+threads do not mix their callables.  :class:`WorkerPool` is the
+context-manager form that serves several calls; its ``process`` mode
+pickles ``fn`` with every job, so there it must be a module-level function.
 """
 
 from __future__ import annotations
@@ -39,6 +46,33 @@ def check_mode(mode: str) -> str:
     return mode
 
 
+def _fork_executor(workers: int, inherited: Callable[[Any], Any] | None = None) -> Executor:
+    """A ``fork`` process pool; its workers inherit ``inherited``, unpickled."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=None if inherited is None else _inherit,
+        initargs=() if inherited is None else (inherited,),
+    )
+
+
+#: The ``fn`` of the per-call pool a worker process serves, set in the
+#: worker by the pool initializer; never set in the parent.
+_inherited: Callable[[Any], Any] | None = None
+
+
+def _inherit(fn: Callable[[Any], Any]) -> None:
+    """Pool initializer: keep the forked-in ``fn`` for :func:`_run_inherited`."""
+    global _inherited
+    _inherited = fn
+
+
+def _run_inherited(job: Any) -> Any:
+    """The job function a per-call pool pickles: run the inherited ``fn``."""
+    assert _inherited is not None, "no callable was inherited by this worker"
+    return _inherited(job)
+
+
 class WorkerPool:
     """A pool of ``workers`` workers in ``mode``, closed on context exit.
 
@@ -52,9 +86,7 @@ class WorkerPool:
         if mode == "thread":
             self._executor = ThreadPoolExecutor(max_workers=workers)
         elif mode == "process":
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork")
-            )
+            self._executor = _fork_executor(workers)
 
     def __enter__(self) -> WorkerPool:
         return self
@@ -75,9 +107,21 @@ class WorkerPool:
 
 
 def map_jobs(fn: Callable[[Any], R], jobs: Sequence[Any], *, mode: str, workers: int) -> list[R]:
-    """Run ``fn`` on every job in ``mode`` and return the results in job order."""
+    """Run ``fn`` on every job in ``mode`` and return the results in job order.
+
+    In ``process`` mode the workers inherit ``fn`` when they are forked, so
+    only the jobs and the results are pickled.
+    """
     check_mode(mode)
     if not jobs:
         return []
-    with WorkerPool(mode, min(workers, len(jobs))) as pool:
-        return pool.map(fn, jobs)
+    workers = min(workers, len(jobs))
+    if mode != "process":
+        with WorkerPool(mode, workers) as pool:
+            return pool.map(fn, jobs)
+    executor = _fork_executor(workers, inherited=fn)
+    try:
+        futures = [executor.submit(_run_inherited, job) for job in jobs]
+        return [future.result() for future in futures]
+    finally:
+        executor.shutdown()

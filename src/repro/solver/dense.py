@@ -20,10 +20,15 @@ __all__ = ["solve_dense", "cholesky_solve"]
 def cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite system via Cholesky factorisation.
 
+    The factorisation and both triangular solves run in LAPACK
+    (``potrf`` / ``potrs``) on the lower factor.
+
     Raises
     ------
     numpy.linalg.LinAlgError
         If the matrix is not positive definite.
+    ValueError
+        If the matrix or the right-hand side holds infs or NaNs.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -31,9 +36,8 @@ def cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # Symmetrise explicitly: the assemblers produce a numerically symmetric
     # matrix but quadrature round-off can leave ~1e-14 asymmetry.
     symmetric = 0.5 * (matrix + matrix.T)
-    factor = np.linalg.cholesky(symmetric)
-    intermediate = linalg.solve_triangular(factor, rhs, lower=True)
-    return linalg.solve_triangular(factor.T, intermediate, lower=False)
+    factor = linalg.cho_factor(symmetric, lower=True, overwrite_a=True)
+    return linalg.cho_solve(factor, rhs)
 
 
 def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -203,89 +203,85 @@ class TestParallelBackends:
         with pytest.raises(ValueError):
             DistributedAssembler(basis_set, permittivity, num_nodes=0)
 
-    @pytest.mark.parametrize("assembler_type", [SharedMemoryAssembler, DistributedAssembler])
-    def test_process_pool_rejects_custom_collocation(
-        self, crossing_layout, permittivity, assembler_type
-    ):
-        """Worker processes rebuild the exact kernel, so an evaluator cannot ride along."""
-        from repro.accel import make_evaluator
+    @staticmethod
+    def _pool_inline(monkeypatch, assembler_type) -> list:
+        """Run the pooled flow's ``map_jobs`` call in-process; return the calls.
 
-        basis_set = build_basis_set(crossing_layout)
-        evaluator = make_evaluator("fast_subroutines").from_deltas
-        with pytest.raises(ValueError, match="cannot be sent to worker processes"):
-            assembler_type(
-                basis_set,
-                permittivity,
-                num_nodes=2,
-                collocation_fn=evaluator,
-                use_processes=True,
-            )
-        # In-process partitions and a single node keep the evaluator.
-        for num_nodes, use_processes in [(2, False), (1, True)]:
-            accelerated = assembler_type(
-                basis_set,
-                permittivity,
-                num_nodes=num_nodes,
-                collocation_fn=evaluator,
-                use_processes=use_processes,
-            )
-            assert accelerated.assembler.collocation_fn is evaluator
+        The closure the pool would hand to its forked workers then runs
+        here, over the same parent assembler the workers would inherit.
+        """
+        import sys
+
+        from repro.parallel.executor import map_jobs
+
+        calls: list = []
+
+        def inline(fn, jobs, *, mode, workers):
+            calls.append((mode, workers, list(jobs)))
+            return map_jobs(fn, jobs, mode="serial", workers=workers)
+
+        monkeypatch.setattr(sys.modules[assembler_type.__module__], "map_jobs", inline)
+        return calls
 
     @pytest.mark.parametrize("assembler_type", [SharedMemoryAssembler, DistributedAssembler])
-    def test_worker_job_rebuilds_the_parent_assembler(
-        self, crossing_layout, permittivity, assembler_type
+    def test_pooled_closure_reads_the_parent_assembler(
+        self, crossing_layout, permittivity, assembler_type, monkeypatch
     ):
-        """The job tuple carries every evaluation choice the worker needs."""
-        from repro.assembly.shared_memory import rebuild_assembler
+        """The pool maps a closure over the partitions: every evaluation
+        choice is the parent assembler's own, nothing is rebuilt."""
         from repro.greens.policy import ApproximationPolicy
 
         basis_set = build_basis_set(crossing_layout)
-        parallel = assembler_type(
-            basis_set,
-            permittivity,
+        options = dict(
             num_nodes=3,
             policy=ApproximationPolicy(tolerance=0.05),
             order_near=5,
             order_far=2,
             batch_size=97,
         )
+        calls = self._pool_inline(monkeypatch, assembler_type)
+        parallel = assembler_type(basis_set, permittivity, use_processes=True, **options)
+        result = parallel.assemble()
+        assert calls == [("process", 3, parallel.partitions())]
+
         parent = parallel.assembler
-        for part in parallel.partitions():
-            rebuilt, start, stop = rebuild_assembler(parallel.worker_job(part))
-            assert (start, stop) == (part.start, part.stop)
-            assert rebuilt.policy == parent.policy
-            assert (rebuilt.order_near, rebuilt.order_far) == (5, 2)
-            assert rebuilt.batch_size == 97
-            expected, expected_chunk = parent.assemble_chunk(start, stop)
-            matrix, chunk = rebuilt.assemble_chunk(start, stop)
-            np.testing.assert_array_equal(matrix, expected)
-            assert chunk.num_evaluated == expected_chunk.num_evaluated
+        chunks = [parent.assemble_chunk(p.start, p.stop)[1] for p in parallel.partitions()]
+        assert [r.num_evaluated for r in result.node_results] == [
+            c.num_evaluated for c in chunks
+        ]
+        if assembler_type is SharedMemoryAssembler:
+            summed = sum(parent.assemble_chunk(p.start, p.stop)[0] for p in parallel.partitions())
+            np.testing.assert_array_equal(result.matrix, summed)
+        else:
+            in_process = assembler_type(basis_set, permittivity, **options).assemble()
+            np.testing.assert_array_equal(result.matrix, in_process.matrix)
 
     @pytest.mark.parametrize("num_nodes", [2, 3])
-    def test_worker_functions_match_in_process_flows(
-        self, crossing_layout, permittivity, num_nodes
+    def test_pooled_flows_match_in_process_flows(
+        self, crossing_layout, permittivity, num_nodes, monkeypatch
     ):
-        """Run the process-pool workers in-process: same matrices as the sequential flows.
+        """Run the pooled flows' closures in-process: same matrices as the sequential flows.
 
-        The shared-memory workers return private matrices that are summed,
+        The shared-memory closures return private matrices that are summed,
         while the sequential flow accumulates into one, so only the
         summation order differs there; the distributed blocks are identical.
         """
-        from repro.assembly.distributed import _distributed_worker
-        from repro.assembly.shared_memory import _shared_worker
-
         basis_set = build_basis_set(crossing_layout)
+        for assembler_type in (SharedMemoryAssembler, DistributedAssembler):
+            self._pool_inline(monkeypatch, assembler_type)
         shared = SharedMemoryAssembler(basis_set, permittivity, num_nodes=num_nodes)
-        summed = sum(_shared_worker(shared.worker_job(p))[0] for p in shared.partitions())
-        np.testing.assert_allclose(summed, shared.assemble().matrix, rtol=1e-12, atol=0.0)
+        pooled = SharedMemoryAssembler(
+            basis_set, permittivity, num_nodes=num_nodes, use_processes=True
+        ).assemble()
+        np.testing.assert_allclose(pooled.matrix, shared.assemble().matrix, rtol=1e-12, atol=0.0)
+        n = basis_set.num_basis_functions
+        assert pooled.communication_bytes == [8 * n * n] * num_nodes
 
         distributed = DistributedAssembler(basis_set, permittivity, num_nodes=num_nodes)
-        n = distributed.assembler.num_basis_functions
-        upper = np.zeros((n, n))
-        for part in distributed.partitions():
-            partial, _ = _distributed_worker(distributed.worker_job(part))
-            upper[:, partial.first_column : partial.last_column + 1] += partial.block
-        np.testing.assert_array_equal(symmetrize_upper(upper), distributed.assemble().matrix)
+        pooled = DistributedAssembler(
+            basis_set, permittivity, num_nodes=num_nodes, use_processes=True
+        ).assemble()
+        np.testing.assert_array_equal(pooled.matrix, distributed.assemble().matrix)
 
     @pytest.mark.parametrize(
         "num_nodes, use_processes, pooled",

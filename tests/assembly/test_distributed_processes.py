@@ -22,7 +22,8 @@ from repro.assembly import (
     SharedMemoryAssembler,
 )
 from repro.assembly.batch import ChunkResult
-from repro.assembly.distributed import PartialMatrix, _distributed_worker
+from repro.accel import make_evaluator
+from repro.assembly.distributed import PartialMatrix, _column_block
 from repro.basis import build_basis_set
 from repro.engine import get_backend
 from repro.obs.trace import start_trace
@@ -40,9 +41,12 @@ pytestmark = [
 ]
 
 
-def _send_chunk(connection, args) -> None:
-    """Child-process target: assemble one partition and pipe the message back."""
-    partial, chunk = _distributed_worker(args)
+def _send_chunk(connection, assembler, part) -> None:
+    """Child-process target: assemble one partition and pipe the message back.
+
+    The forked child inherits the parent's assembler, as the pool workers do.
+    """
+    partial, chunk = _column_block(assembler, part.start, part.stop)
     connection.send((partial, chunk))
     connection.close()
 
@@ -85,16 +89,52 @@ class TestProcessPools:
         assert 0 < assemble.attributes["pairs_evaluated"] <= assemble.attributes["pairs"]
 
 
+class TestAcceleratedProcessPools:
+    """Workers inherit the parent's assembler, so they run its evaluator."""
+
+    @pytest.fixture
+    def evaluator(self):
+        return make_evaluator("fast_subroutines").from_deltas
+
+    def test_distributed_pool_equals_in_process(self, crossing_layout, permittivity, evaluator):
+        basis_set = build_basis_set(crossing_layout)
+
+        def matrix(**options):
+            return DistributedAssembler(
+                basis_set, permittivity, num_nodes=2, **options
+            ).assemble().matrix
+
+        pooled = matrix(collocation_fn=evaluator, use_processes=True)
+        np.testing.assert_array_equal(pooled, matrix(collocation_fn=evaluator))
+        # The evaluator really ran: the exact kernel gives other bits.
+        assert not np.array_equal(pooled, matrix(use_processes=True))
+
+    def test_shared_pool_equals_summed_partitions(self, crossing_layout, permittivity, evaluator):
+        basis_set = build_basis_set(crossing_layout)
+        shared = SharedMemoryAssembler(
+            basis_set, permittivity, num_nodes=2, collocation_fn=evaluator, use_processes=True
+        )
+        pooled = shared.assemble().matrix
+        # Each worker returns its own partial matrix; summing the in-process
+        # partitions the same way gives the same bits.
+        summed = sum(
+            shared.assembler.assemble_chunk(part.start, part.stop)[0]
+            for part in shared.partitions()
+        )
+        np.testing.assert_array_equal(pooled, summed)
+        plain = SharedMemoryAssembler(basis_set, permittivity, num_nodes=2, use_processes=True)
+        assert not np.array_equal(pooled, plain.assemble().matrix)
+
+
 class TestPartialMatrixPipeTransfer:
     def test_partial_matrix_roundtrip_over_pipe(self, crossing_layout, permittivity):
         basis_set = build_basis_set(crossing_layout)
         assembler = DistributedAssembler(basis_set, permittivity, num_nodes=2)
         part = assembler.partitions()[1]  # a non-main partition (it communicates)
-        args = assembler.worker_job(part)
 
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)
-        process = context.Process(target=_send_chunk, args=(sender, args))
+        process = context.Process(target=_send_chunk, args=(sender, assembler.assembler, part))
         process.start()
         sender.close()
         received_partial, received_chunk = receiver.recv()
@@ -103,7 +143,7 @@ class TestPartialMatrixPipeTransfer:
 
         assert isinstance(received_partial, PartialMatrix)
         assert isinstance(received_chunk, ChunkResult)
-        expected_partial, expected_chunk = _distributed_worker(args)
+        expected_partial, expected_chunk = _column_block(assembler.assembler, part.start, part.stop)
         assert received_partial.first_column == expected_partial.first_column
         assert received_partial.last_column == expected_partial.last_column
         # Same arithmetic on both sides of the pipe: bit-identical blocks.

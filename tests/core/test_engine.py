@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -118,16 +120,30 @@ class TestExtractorModes:
         assert comparison.max_relative_error < 0.02
         assert accelerated.metadata["acceleration"] == "fast_subroutines"
 
-    def test_accelerated_process_mode_is_refused(self, crossing_layout):
-        """Process workers cannot carry the evaluator; the run must not fall back silently."""
-        config = ExtractionConfig(
-            acceleration="fast_subroutines",
-            parallel_mode="shared_memory",
-            num_nodes=2,
-            use_processes=True,
-        )
-        with pytest.raises(ValueError, match="cannot be sent to worker processes"):
-            CapacitanceExtractor(config).extract(crossing_layout)
+    @pytest.mark.multiprocess
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the process mode uses the fork start method",
+    )
+    def test_accelerated_process_mode_matches_in_process(self, crossing_layout):
+        """Forked workers inherit the evaluator: the same bits as in-process."""
+
+        def extract(**options):
+            config = ExtractionConfig(
+                acceleration="fast_subroutines",
+                parallel_mode="distributed",
+                num_nodes=2,
+                **options,
+            )
+            return CapacitanceExtractor(config).extract(crossing_layout)
+
+        pooled = extract(use_processes=True)
+        np.testing.assert_array_equal(pooled.capacitance, extract().capacitance)
+        assert pooled.metadata["acceleration"] == "fast_subroutines"
+        plain = CapacitanceExtractor(
+            ExtractionConfig(parallel_mode="distributed", num_nodes=2, use_processes=True)
+        ).extract(crossing_layout)
+        assert not np.array_equal(pooled.capacitance, plain.capacitance)
 
     def test_face_refinement_improves_or_matches_accuracy(self, crossing_layout):
         reference = reference_capacitance(

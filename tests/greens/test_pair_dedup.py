@@ -137,8 +137,8 @@ class TestDecisionsStayInTheKey:
         # Same shape classes and snapped displacement: only a decision differs.
         assert core._shape_class[i[0]] == core._shape_class[i[1]]
         assert core._shape_class[j[0]] == core._shape_class[j[1]]
-        displacement = core._displacement(i, j)
-        np.testing.assert_array_equal(displacement[0], displacement[1])
+        displacement = np.array(core._displacement(i, j))
+        np.testing.assert_array_equal(displacement[:, 0], displacement[:, 1])
 
         evaluated: dict[str, int] = {}
         values = core.evaluate_pairs(i, j, evaluated=evaluated)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -137,6 +139,46 @@ class TestProcessMode:
             map_jobs(die, [1, 2], mode="process", workers=2)
         assert map_jobs(square, [1, 2], mode="process", workers=2) == [1, 4]
 
+    def test_closure_over_an_unpicklable_object(self):
+        # The workers inherit fn at the fork; it is never pickled.
+        lock = threading.Lock()
+
+        def locked_square(x: int) -> int:
+            with lock:
+                return x * x
+
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(locked_square)
+        assert map_jobs(locked_square, range(5), mode="process", workers=2) == [0, 1, 4, 9, 16]
+
+    def test_concurrent_calls_keep_their_own_closures(self):
+        results: dict[str, list] = {}
+
+        def call(tag: str) -> None:
+            seen = []
+            for _ in range(3):
+                seen.append(map_jobs(lambda x: (tag, x), range(4), mode="process", workers=2))
+            results[tag] = seen
+
+        threads = [threading.Thread(target=call, args=(tag,)) for tag in "ab"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for tag in "ab":
+            assert results[tag] == [[(tag, x) for x in range(4)]] * 3
+
+    def test_worker_pool_still_pickles_fn(self):
+        with WorkerPool("process", 1) as pool:
+            with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+                pool.map(lambda x: x, [1])
+
 
 # ----------------------------------------------------------------------
 # killed workers at every site, each in a child interpreter
@@ -152,10 +194,12 @@ def die(*_args):
     os._exit(1)
 
 
-def check(module, name, call):
-    # Swap the site's worker function for one that kills its process.
-    worker = getattr(module, name)
-    setattr(module, name, die)
+def check(owner, name, call):
+    # Swap the function the site's workers run (a module's worker function,
+    # or the method a forked worker's inherited closure calls) for one that
+    # kills its process.
+    worker = getattr(owner, name)
+    setattr(owner, name, die)
     try:
         call()
     except BrokenProcessPool:
@@ -163,7 +207,7 @@ def check(module, name, call):
     else:
         raise AssertionError("a killed worker did not raise BrokenProcessPool")
     finally:
-        setattr(module, name, worker)
+        setattr(owner, name, worker)
     call()
 """
 
@@ -176,7 +220,7 @@ _CASES = {
         assembler = shared_memory.SharedMemoryAssembler(
             build_basis_set(layout), layout.permittivity, num_nodes=2, use_processes=True
         )
-        check(shared_memory, "_shared_worker", assembler.assemble)
+        check(assembler.assembler, "assemble_chunk", assembler.assemble)
     """,
     "distributed": """
         from repro.assembly import distributed
@@ -186,7 +230,7 @@ _CASES = {
         assembler = distributed.DistributedAssembler(
             build_basis_set(layout), layout.permittivity, num_nodes=2, use_processes=True
         )
-        check(distributed, "_distributed_worker", assembler.assemble)
+        check(distributed, "_column_block", assembler.assemble)
     """,
     "hmatrix": """
         from repro.basis import build_basis_set
