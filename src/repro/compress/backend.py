@@ -1,28 +1,28 @@
 """The ``galerkin-aca`` engine backend: ACA-compressed Galerkin extraction.
 
-Instantiates the paper's basis set, compresses the condensed Galerkin matrix
-into an :class:`~repro.compress.hmatrix.HMatrix` (dense near field, ACA
-low-rank far field — never materialising ``N x N``; block assembly runs on
-the parallel executor selected by ``num_workers``/``executor``), and solves
-with the Jacobi-preconditioned GMRES shared by every iterative backend —
-by default in *blocked* multi-right-hand-side mode, where every stored
-block is traversed once per lockstep iteration instead of once per
-conductor.  The returned result carries the compression statistics
-(``stored_entries``, ``compression_ratio``, ``max_block_rank``) alongside
-the usual timings and the solver telemetry.
+Translates its options into an :class:`~repro.core.config.ExtractionConfig`
+plus :func:`~repro.compress.hmatrix.build_hmatrix` options and runs the one
+Galerkin pipeline, :func:`~repro.core.engine.extract_galerkin`.  The
+pipeline instantiates the paper's basis set, compresses the condensed
+Galerkin matrix into an :class:`~repro.compress.hmatrix.HMatrix` (dense near
+field, ACA low-rank far field — never materialising ``N x N``; block
+assembly runs on the parallel executor selected by
+``num_workers``/``executor``), and solves with the Jacobi-preconditioned
+GMRES shared by every iterative backend — by default in *blocked*
+multi-right-hand-side mode, where every stored block is traversed once per
+lockstep iteration instead of once per conductor.  The returned result
+carries the compression statistics (``stored_entries``,
+``compression_ratio``, ``max_block_rank``) alongside the usual timings and
+the solver telemetry.
 """
 
 from __future__ import annotations
 
-from repro.basis.instantiate import InstantiationConfig, build_basis_set
-from repro.compress.entries import GalerkinEntries
-from repro.compress.hmatrix import build_hmatrix
+from repro.basis.instantiate import InstantiationConfig
+from repro.compress.entries import check_kernel_modes
+from repro.core.config import ExtractionConfig
 from repro.core.results import ExtractionResult
 from repro.geometry.layout import Layout
-from repro.greens.policy import ApproximationPolicy
-from repro.parallel.timing import SolverTimer
-from repro.solver.capacitance import capacitance_from_solution
-from repro.solver.iterative import gmres_solve
 
 __all__ = ["GalerkinACABackend"]
 
@@ -94,77 +94,33 @@ class GalerkinACABackend:
             (default) solves all right-hand sides in one lockstep block,
             ``1`` falls back to the historical per-column loop.
         """
-        basis_set = build_basis_set(
-            layout, InstantiationConfig(face_refinement=face_refinement)
+        # Imported here: the pipeline's module imports this package.
+        from repro.core.engine import extract_galerkin
+
+        check_kernel_modes(near_field, use_numba)
+        compression = dict(
+            epsilon=epsilon, max_rank=max_rank, leaf_size=leaf_size, eta=eta,
+            num_workers=num_workers, executor=executor,
         )
-        if basis_set.num_basis_functions == 0:
-            raise ValueError("the layout produced an empty basis set")
-
-        timer = SolverTimer()
-        with timer.setup():
-            entries = GalerkinEntries(
-                basis_set,
-                layout.permittivity,
-                policy=ApproximationPolicy(tolerance=tolerance),
-                order_near=order_near,
-                order_far=order_far,
-                near_field=near_field,
-                use_numba=use_numba,
-            )
-            hmatrix = build_hmatrix(
-                entries,
-                epsilon=epsilon,
-                max_rank=max_rank,
-                leaf_size=leaf_size,
-                eta=eta,
-                num_workers=num_workers,
-                executor=executor,
-            )
-            phi = basis_set.incidence_matrix(layout.num_conductors)
-            diagonal = hmatrix.diagonal()
-
-        with timer.solve():
-            rho, stats = gmres_solve(
-                hmatrix.matvec,
-                phi,
-                size=basis_set.num_basis_functions,
-                tolerance=gmres_tolerance,
-                max_iterations=max_iterations,
-                diagonal=diagonal,
-                matmat=hmatrix.matmat,
-                block_size=block_size,
-            )
-            capacitance = capacitance_from_solution(phi, rho)
-
-        return ExtractionResult(
-            capacitance=capacitance,
-            conductor_names=list(layout.names),
-            num_basis_functions=basis_set.num_basis_functions,
-            num_templates=basis_set.num_templates,
-            setup_seconds=timer.setup_seconds,
-            solve_seconds=timer.solve_seconds,
-            memory_bytes=hmatrix.memory_bytes + int(phi.nbytes),
-            backend=self.name,
-            num_unknowns=basis_set.num_basis_functions,
-            iterations=stats,
-            stored_entries=hmatrix.stored_entries,
-            compression_ratio=hmatrix.compression_ratio,
-            max_block_rank=hmatrix.max_block_rank,
-            metadata={
-                "epsilon": epsilon,
-                "max_rank": max_rank,
-                "leaf_size": leaf_size,
-                "eta": eta,
-                "num_workers": num_workers,
-                "executor": executor,
+        config = ExtractionConfig(
+            tolerance=tolerance,
+            instantiation=InstantiationConfig(face_refinement=face_refinement),
+            order_near=order_near,
+            order_far=order_far,
+        )
+        return extract_galerkin(
+            layout,
+            config,
+            lambda basis_set, hmatrix: {
+                **compression,
                 "face_refinement": face_refinement,
                 "num_near_blocks": len(hmatrix.dense_blocks),
                 "num_far_blocks": len(hmatrix.lowrank_blocks),
                 "worker_assembly_seconds": list(hmatrix.worker_seconds),
-                "entries_sampled": entries.entries_sampled,
+                "entries_sampled": hmatrix.entries_sampled,
                 "near_field": near_field,
-                "gmres_tolerance": gmres_tolerance,
-                "solver_mode": stats.mode,
-                "operator_traversals": stats.operator_traversals,
             },
+            backend=self.name,
+            compression=compression,
+            gmres=dict(tolerance=gmres_tolerance, max_iterations=max_iterations, block_size=block_size),
         )

@@ -28,7 +28,21 @@ from repro.assembly.batch import BatchGalerkinAssembler
 from repro.basis.functions import BasisSet
 from repro.greens.policy import ApproximationPolicy
 
-__all__ = ["GalerkinEntries"]
+__all__ = ["GalerkinEntries", "check_kernel_modes"]
+
+
+def check_kernel_modes(near_field: str = "exact", use_numba: bool | None = None) -> None:
+    """Refuse the removed kernel modes: only their defaults are accepted."""
+    if near_field != "exact":
+        raise ValueError(
+            f"near_field={near_field!r} was removed; near and singular pairs "
+            "always use the exact closed forms ('exact')"
+        )
+    if use_numba not in (None, False):
+        raise ValueError(
+            f"use_numba={use_numba!r} was removed; the numba JIT path no longer "
+            "exists (None or False only)"
+        )
 
 
 class GalerkinEntries:
@@ -38,7 +52,7 @@ class GalerkinEntries:
     ``vectorized`` selects the evaluation path.  ``near_field`` and
     ``use_numba`` name kernel modes that were removed: only their defaults
     (``"exact"``; ``None`` or ``False``) are accepted, and any other value
-    raises :class:`ValueError`.
+    raises :class:`ValueError` (:func:`check_kernel_modes`).
     """
 
     def __init__(
@@ -53,16 +67,7 @@ class GalerkinEntries:
         near_field: str = "exact",
         use_numba: bool | None = None,
     ):
-        if near_field != "exact":
-            raise ValueError(
-                f"near_field={near_field!r} was removed; near and singular pairs "
-                "always use the exact closed forms ('exact')"
-            )
-        if use_numba not in (None, False):
-            raise ValueError(
-                f"use_numba={use_numba!r} was removed; the numba JIT path no longer "
-                "exists (None or False only)"
-            )
+        check_kernel_modes(near_field, use_numba)
         self.assembler = BatchGalerkinAssembler(
             basis_set,
             permittivity,
@@ -72,15 +77,6 @@ class GalerkinEntries:
             order_far=order_far,
         )
         self.vectorized = bool(vectorized)
-        self._custom_collocation = collocation_fn is not None
-        self._constructor_args = (
-            basis_set,
-            float(permittivity),
-            policy,
-            int(order_near),
-            int(order_far),
-            bool(vectorized),
-        )
         self._count_lock = threading.Lock()
         arrays = self.assembler.arrays
         count = self.assembler.num_basis_functions
@@ -89,7 +85,9 @@ class GalerkinEntries:
         self._tstart = np.searchsorted(arrays.owner, np.arange(count))
         self._tstop = np.searchsorted(arrays.owner, np.arange(count), side="right")
         self._tcount = self._tstop - self._tstart
-        #: Number of entries sampled so far (diagnostics / cost accounting).
+        #: Number of entries sampled so far in this process (diagnostics /
+        #: cost accounting); a process-mode H-matrix build samples in its
+        #: workers and reports its count as ``HMatrix.entries_sampled``.
         self.entries_sampled = 0
 
     # ------------------------------------------------------------------
@@ -97,22 +95,6 @@ class GalerkinEntries:
     def num_unknowns(self) -> int:
         """Dimension ``N`` of the condensed matrix."""
         return self.assembler.num_basis_functions
-
-    def worker_tuple(self) -> tuple:
-        """Constructor arguments for rebuilding the oracle in a worker process.
-
-        The same idiom as the parallel Galerkin assemblers: the tuple is
-        pickled to a ``fork`` worker, which reconstructs an arithmetically
-        identical oracle (all evaluation choices are deterministic).  A
-        custom ``collocation_fn`` is a closure the pipe cannot carry, so it
-        is rejected here rather than silently dropped.
-        """
-        if self._custom_collocation:
-            raise ValueError(
-                "a custom collocation_fn cannot be sent to worker processes; "
-                "use the thread executor instead"
-            )
-        return self._constructor_args
 
     def _count(self, num_entries: int) -> None:
         """Thread-safe bump of the ``entries_sampled`` diagnostic counter."""

@@ -29,24 +29,28 @@ as the parallel Galerkin assemblers) and the partitions are mapped over
 * ``"thread"`` (default) — one thread per partition, each calling the
   caller's own entry oracle.  Partitions overlap only while the kernel core
   is inside NumPy calls that release the GIL; the Python around them
-  serialises.  On the bus 6x6 ``face_refinement=2``, ``leaf_size=16``
-  system (N=360, 80 far blocks) on a 2-core Xeon host, the median build
-  took 0.98 s serial and 0.63 s on 2 threads;
-* ``"process"`` — one forked worker per partition: each worker rebuilds the
-  entry oracle and the (deterministic) block partition from
-  :meth:`~repro.compress.entries.GalerkinEntries.worker_tuple` and ships
-  its block entries back over the pipe.
+  serialises;
+* ``"process"`` — one forked worker per partition.  The workers inherit the
+  caller's oracle and block list at the fork, with the closure that
+  assembles a partition, so only the partition bounds are pickled on the
+  way out and the block entries come back over the pipe.  A custom
+  ``collocation_fn`` of the oracle runs in the workers too.
+
+Threads do not pay on a 2-core host.  On the bus 6x6 ``face_refinement=2``,
+``leaf_size=16`` system (N=360, 80 far blocks) on a 2-core Xeon, two sets
+of 9 interleaved builds had medians of 0.42 / 0.47 s serial, 0.43 / 0.53 s
+on 2 threads and 0.35 / 0.39 s on 2 processes.
 
 Each partition's arithmetic is independent and the merged block lists are
 ordered by partition index, so the assembled operator is **bit-identical**
 across executors and worker counts.  ``worker_seconds`` records each
-partition's wall-clock time measured inside its worker.
+partition's wall-clock time measured inside its worker, and
+``entries_sampled`` the sum of the oracle entries the partitions sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -120,12 +124,15 @@ class HMatrix(LinearOperator):
         dense_blocks: list[DenseBlockEntry],
         lowrank_blocks: list[LowRankBlockEntry],
         worker_seconds: list[float] | None = None,
+        entries_sampled: int = 0,
     ):
         super().__init__(dtype=np.dtype(float), shape=(size, size))
         self.dense_blocks = dense_blocks
         self.lowrank_blocks = lowrank_blocks
         #: Per-partition assembly wall-clock times (one entry per worker).
         self.worker_seconds = list(worker_seconds or [])
+        #: Oracle entries the build sampled, summed over its partitions.
+        self.entries_sampled = int(entries_sampled)
         # The packed operator the products apply: every near block, its
         # mirrored transpose included, in one CSR matrix, and the far
         # factors as block-sparse ``U`` (N x K) / ``V`` (K x N) whose rank
@@ -317,26 +324,23 @@ def build_hmatrix(
         blocks = _upper_blocks(entries, leaf_size, eta)
         parts = partition_range(len(blocks), num_workers)
 
-        if num_workers > 1 and executor == "process":
-            jobs = [
-                (entries.worker_tuple(), epsilon, max_rank, leaf_size, eta, p.start, p.stop)
-                for p in parts
-            ]
-            partition_results = map_jobs(_process_worker, jobs, mode="process", workers=num_workers)
+        mode = "serial" if num_workers == 1 else executor
+        # Every mode runs the same closure over the caller's oracle; forked
+        # workers inherit it, so only the partition bounds are pickled.
+        partition_results = map_jobs(
+            lambda part: _assemble_partition(
+                entries, blocks[part.start : part.stop], epsilon, max_rank
+            ),
+            parts,
+            mode=mode,
+            workers=num_workers,
+        )
+        if mode == "process":
             # The fork workers cannot reach the in-process trace; their
             # wall times come back over the pipe and are re-attached as
             # synthesized spans so the tree still accounts for the work.
-            for index, (_, _, seconds) in enumerate(partition_results):
+            for index, (_, _, seconds, _) in enumerate(partition_results):
                 record_span("assembly.partition", seconds, worker=index, executor="process")
-        else:
-            # In-process modes call the caller's own oracle instance.
-            assemble = partial(_assemble_partition, entries, epsilon=epsilon, max_rank=max_rank)
-            partition_results = map_jobs(
-                assemble,
-                [blocks[p.start : p.stop] for p in parts],
-                mode="serial" if num_workers == 1 else executor,
-                workers=num_workers,
-            )
 
         # Deterministic merge: block lists concatenated in partition order
         # keep the result bit-identical to (and ordered like) the serial
@@ -344,7 +348,7 @@ def build_hmatrix(
         dense_blocks: list[DenseBlockEntry] = []
         lowrank_blocks: list[LowRankBlockEntry] = []
         worker_seconds: list[float] = []
-        for part_dense, part_lowrank, seconds in partition_results:
+        for part_dense, part_lowrank, seconds, _ in partition_results:
             dense_blocks.extend(part_dense)
             lowrank_blocks.extend(part_lowrank)
             worker_seconds.append(seconds)
@@ -354,6 +358,7 @@ def build_hmatrix(
         dense_blocks=dense_blocks,
         lowrank_blocks=lowrank_blocks,
         worker_seconds=worker_seconds,
+        entries_sampled=sum(sampled for *_, sampled in partition_results),
     )
 
 
@@ -379,13 +384,14 @@ def _assemble_partition(
     part_blocks: list[Block],
     epsilon: float,
     max_rank: int,
-) -> tuple[list[DenseBlockEntry], list[LowRankBlockEntry], float]:
+) -> tuple[list[DenseBlockEntry], list[LowRankBlockEntry], float, int]:
     """Assemble one worker's partition of the block list.
 
     Pure with respect to shared state (each call appends only to its own
     lists), so partitions can run concurrently; the wall-clock time is
     measured inside the worker and therefore reflects true concurrent
-    assembly under the thread/process executors.
+    assembly under the thread/process executors.  Returns the blocks, that
+    time and the number of oracle entries the partition sampled.
     """
     t_begin = clock.now()
     dense_blocks: list[DenseBlockEntry] = []
@@ -395,52 +401,29 @@ def _assemble_partition(
     # fusing the blocks is bit-identical to per-block assembly while
     # letting the kernel core amortise its per-call vectorisation setup
     # over the whole near field.
-    _assemble_dense_blocks(
+    sampled = _assemble_dense_blocks(
         entries, [b for b in part_blocks if not b.admissible], dense_blocks
     )
-    _assemble_lowrank_blocks(
+    sampled += _assemble_lowrank_blocks(
         entries, [b for b in part_blocks if b.admissible], epsilon, max_rank, lowrank_blocks
     )
-    return dense_blocks, lowrank_blocks, clock.now() - t_begin
-
-
-def _process_worker(
-    args: tuple,
-) -> tuple[list[DenseBlockEntry], list[LowRankBlockEntry], float]:
-    """Worker process: rebuild the oracle and assemble one partition.
-
-    The block partition is recomputed from the rebuilt oracle — cluster
-    tree construction is deterministic, so the worker's ``[start, stop)``
-    slice is exactly the parent's.
-    """
-    worker_args, epsilon, max_rank, leaf_size, eta, start, stop = args
-    basis_set, permittivity, policy, order_near, order_far, vectorized = worker_args
-    entries = GalerkinEntries(
-        basis_set,
-        permittivity,
-        policy=policy,
-        order_near=order_near,
-        order_far=order_far,
-        vectorized=vectorized,
-    )
-    blocks = _upper_blocks(entries, leaf_size, eta)
-    return _assemble_partition(entries, blocks[start:stop], epsilon, max_rank)
+    return dense_blocks, lowrank_blocks, clock.now() - t_begin, sampled
 
 
 def _assemble_dense_blocks(
     entries: GalerkinEntries,
     blocks: list[Block],
     dense_blocks: list[DenseBlockEntry],
-) -> None:
+) -> int:
     """Assemble every near-field block of a partition in one oracle call.
 
     Off-diagonal (mirrored) blocks request their full ``rows x cols`` entry
     set; diagonal blocks are symmetric, so only the upper triangle is
     evaluated and mirrored (half the integral work, exactly like
-    :meth:`GalerkinEntries.symmetric_block`).
+    :meth:`GalerkinEntries.symmetric_block`).  Returns the entries sampled.
     """
     if not blocks:
-        return
+        return 0
     entry_rows: list[np.ndarray] = []
     entry_cols: list[np.ndarray] = []
     for block in blocks:
@@ -471,6 +454,7 @@ def _assemble_dense_blocks(
         dense_blocks.append(
             DenseBlockEntry(rows=rows, cols=cols, values=dense, mirrored=mirrored)
         )
+    return int(values.size)
 
 
 def _assemble_lowrank_blocks(
@@ -479,7 +463,7 @@ def _assemble_lowrank_blocks(
     epsilon: float,
     max_rank: int,
     lowrank_blocks: list[LowRankBlockEntry],
-) -> None:
+) -> int:
     """Compress every far-field block of a partition, all ACAs in lockstep.
 
     Each block runs its own :func:`~repro.compress.aca.aca_core`; every
@@ -487,8 +471,9 @@ def _assemble_lowrank_blocks(
     block and answers them all with ONE oracle call.  Entries are
     elementwise independent, so the factors are bit-identical to per-block
     ACA while the oracle calls drop from the sum of the blocks' sample
-    counts to the longest single run.
+    counts to the longest single run.  Returns the entries sampled.
     """
+    sampled = 0
     cores = [aca_core(block.shape, epsilon, max_rank) for block in blocks]
     requests = {b: next(core) for b, core in enumerate(cores)}
     factors: dict[int, LowRankFactors] = {}
@@ -505,6 +490,7 @@ def _assemble_lowrank_blocks(
                 entry_rows.append(rows)
                 entry_cols.append(np.full(rows.size, cols[index]))
         values = entries.entry_values(np.concatenate(entry_rows), np.concatenate(entry_cols))
+        sampled += values.size
         offset = 0
         pending = list(requests)
         requests = {}
@@ -524,6 +510,7 @@ def _assemble_lowrank_blocks(
                 mirrored=block.row is not block.col,
             )
         )
+    return sampled
 
 
 _Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]

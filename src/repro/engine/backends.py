@@ -17,11 +17,13 @@ galerkin-aca          H-matrix-compressed Galerkin (ACA far field)+GMRES  basis 
 frw                   floating-random-walk Monte Carlo (no linear system) none (walks)
 ====================  ==================================================  =============
 
-The two parallel ``galerkin-*`` backends live in
-:mod:`repro.engine.parallel_backends`, the compressed ``galerkin-aca``
-backend in :mod:`repro.compress.backend`, and the stochastic ``frw``
-backend in :mod:`repro.frw.backend`; they are registered here alongside
-the serial adapters.
+``instantiable`` and the three ``galerkin-*`` names run one Galerkin
+pipeline, :func:`repro.core.engine.extract_galerkin`; each translates its
+options into that pipeline's setup and solve.  The two parallel
+``galerkin-*`` translations live in :mod:`repro.engine.parallel_backends`,
+the compressed ``galerkin-aca`` one in :mod:`repro.compress.backend`, and
+the stochastic ``frw`` backend in :mod:`repro.frw.backend`; they are
+registered here alongside the serial adapters.
 """
 
 from __future__ import annotations

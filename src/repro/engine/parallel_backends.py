@@ -1,13 +1,15 @@
 """Parallel Galerkin backends: shared-memory and distributed system setup.
 
 These backends expose the paper's parallel system-setup flows (Sections
-5.1-5.2) through the unified engine API.  Both instantiate the compact basis,
-fill the condensed Galerkin matrix through one of the parallel assembly
-flows in :mod:`repro.assembly`, and solve the assembled system with the
-Jacobi-preconditioned GMRES of :mod:`repro.solver.iterative` — by default
-in blocked multi-right-hand-side mode, sharing each matrix traversal across
-all conductor columns (``block_size=1`` restores the per-conductor column
-loop):
+5.1-5.2) through the unified engine API.  Each translates its options into
+an :class:`~repro.core.config.ExtractionConfig` on its flow and runs the one
+Galerkin pipeline, :func:`~repro.core.engine.extract_galerkin`: instantiate
+the compact basis, fill the condensed Galerkin matrix through one of the
+parallel assembly flows in :mod:`repro.assembly`, and solve the assembled
+system with the Jacobi-preconditioned GMRES of :mod:`repro.solver.iterative`
+— by default in blocked multi-right-hand-side mode, sharing each matrix
+traversal across all conductor columns (``block_size=1`` restores the
+per-conductor column loop):
 
 ==================== ===================================== ==================
 name                 assembly flow                         communication
@@ -46,17 +48,10 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-import numpy as np
-
-from repro.assembly.distributed import DistributedAssembler
-from repro.assembly.shared_memory import SharedMemoryAssembler
-from repro.basis.instantiate import build_basis_set
+from repro.core.config import ExtractionConfig, ParallelMode
+from repro.core.engine import extract_galerkin
 from repro.core.results import ExtractionResult
 from repro.geometry.layout import Layout
-from repro.greens.policy import ApproximationPolicy
-from repro.parallel.timing import SolverTimer
-from repro.solver.capacitance import capacitance_from_solution
-from repro.solver.iterative import gmres_solve
 
 __all__ = [
     "EXECUTOR_MODES",
@@ -69,13 +64,20 @@ EXECUTOR_MODES = ("simulated", "process")
 
 
 class _ParallelGalerkinBackend:
-    """Shared implementation of the two parallel Galerkin backends."""
+    """Option translation of the two parallel Galerkin backends.
+
+    The options become an :class:`~repro.core.config.ExtractionConfig` on
+    the backend's flow plus GMRES controls, and
+    :func:`~repro.core.engine.extract_galerkin` runs the extraction.
+    """
 
     name: ClassVar[str]
     description: ClassVar[str]
-    #: ``"shared-memory"`` or ``"distributed"``; selects the assembly flow
-    #: and tells the scaling harness which machine-model run to apply.
+    #: ``"shared-memory"`` or ``"distributed"``; tells the scaling harness
+    #: which machine-model run to apply.
     assembly_flow: ClassVar[str]
+    #: The dense setup flow this backend runs.
+    parallel_mode: ClassVar[ParallelMode]
 
     def extract(
         self,
@@ -97,68 +99,30 @@ class _ParallelGalerkinBackend:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_MODES}, got {executor!r}"
             )
-
-        basis_set = build_basis_set(layout)
-        if basis_set.num_basis_functions == 0:
-            raise ValueError("the layout produced an empty basis set")
-        assembler_type = (
-            SharedMemoryAssembler
-            if self.assembly_flow == "shared-memory"
-            else DistributedAssembler
-        )
-        assembler = assembler_type(
-            basis_set,
-            layout.permittivity,
-            num_nodes=workers,
-            policy=ApproximationPolicy(tolerance=tolerance),
+        # int(): the assemblers truncate the node count, so requests with
+        # workers=2.0 or True keep resolving.
+        config = ExtractionConfig(
+            tolerance=tolerance,
+            parallel_mode=self.parallel_mode,
+            num_nodes=int(workers),
+            use_processes=executor == "process",
             order_near=order_near,
             order_far=order_far,
             batch_size=batch_size,
-            use_processes=executor == "process",
         )
-
-        timer = SolverTimer()
-        with timer.setup():
-            parallel_setup = assembler.assemble()
-            phi = basis_set.incidence_matrix(layout.num_conductors)
-        matrix = parallel_setup.matrix
-
-        with timer.solve():
-            rho, stats = gmres_solve(
-                lambda x: matrix @ x,
-                phi,
-                size=basis_set.num_basis_functions,
-                tolerance=gmres_tolerance,
-                max_iterations=max_iterations,
-                diagonal=np.diag(matrix),
-                matmat=lambda block: matrix @ block,
-                block_size=block_size,
-            )
-            capacitance = capacitance_from_solution(phi, rho)
-
-        return ExtractionResult(
-            capacitance=capacitance,
-            conductor_names=list(layout.names),
-            num_basis_functions=basis_set.num_basis_functions,
-            num_templates=basis_set.num_templates,
-            setup_seconds=timer.setup_seconds,
-            solve_seconds=timer.solve_seconds,
-            memory_bytes=int(matrix.nbytes) + int(phi.nbytes),
-            parallel_setup=parallel_setup,
-            backend=self.name,
-            num_unknowns=basis_set.num_basis_functions,
-            iterations=stats,
-            # Per-worker times and communication volumes are NOT duplicated
-            # here: they live on parallel_setup and surface through the
-            # result's worker_setup_seconds / worker_communication_bytes.
-            metadata={
+        # Per-worker times and communication volumes are NOT duplicated in
+        # the metadata: they live on parallel_setup and surface through the
+        # result's worker_setup_seconds / worker_communication_bytes.
+        return extract_galerkin(
+            layout,
+            config,
+            lambda basis_set, setup: {
                 "assembly_flow": self.assembly_flow,
                 "workers": workers,
                 "executor": executor,
-                "gmres_tolerance": gmres_tolerance,
-                "solver_mode": stats.mode,
-                "operator_traversals": stats.operator_traversals,
             },
+            backend=self.name,
+            gmres=dict(tolerance=gmres_tolerance, max_iterations=max_iterations, block_size=block_size),
         )
 
 
@@ -171,6 +135,7 @@ class GalerkinSharedBackend(_ParallelGalerkinBackend):
         "D workers fill one shared condensed matrix, GMRES solve"
     )
     assembly_flow = "shared-memory"
+    parallel_mode = ParallelMode.SHARED_MEMORY
 
 
 class GalerkinDistributedBackend(_ParallelGalerkinBackend):
@@ -182,3 +147,4 @@ class GalerkinDistributedBackend(_ParallelGalerkinBackend):
         "(Section 5.2): workers send column blocks to the main process, GMRES solve"
     )
     assembly_flow = "distributed"
+    parallel_mode = ParallelMode.DISTRIBUTED

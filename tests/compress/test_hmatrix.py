@@ -17,6 +17,7 @@ from repro.compress.hmatrix import (
     build_hmatrix,
 )
 from repro.geometry import generators
+from repro.greens.collocation import collocation_from_deltas
 
 
 @pytest.fixture(scope="module")
@@ -149,15 +150,36 @@ class TestHMatrix:
             hmatrix.matmat(x), dense_reference @ x, rtol=1e-5, atol=0
         )
 
-    def test_custom_collocation_cannot_cross_processes(self, refined_bus):
+    @pytest.mark.multiprocess
+    def test_custom_collocation_runs_in_process_workers(self, refined_bus, hmatrix):
+        # A lambda cannot be pickled: the forked workers inherit it with the
+        # closure over the caller's oracle.
         layout, basis_set = refined_bus
         custom = GalerkinEntries(
             basis_set,
             layout.permittivity,
-            collocation_fn=lambda rows, cols: np.zeros(len(rows)),
+            collocation_fn=lambda *deltas: 2.0 * collocation_from_deltas(*deltas),
         )
-        with pytest.raises(ValueError, match="collocation_fn"):
-            build_hmatrix(custom, num_workers=2, executor="process")
+        options = dict(epsilon=1e-6, leaf_size=12, eta=2.0, num_workers=2)
+        thread = build_hmatrix(custom, executor="thread", **options)
+        process = build_hmatrix(custom, executor="process", **options)
+        np.testing.assert_array_equal(process.dense(), thread.dense())
+        assert not np.array_equal(thread.dense(), hmatrix.dense())
+
+    @pytest.mark.parametrize(
+        "executor", ["thread", pytest.param("process", marks=pytest.mark.multiprocess)]
+    )
+    def test_entries_sampled_sums_the_partitions(self, refined_bus, executor):
+        layout, basis_set = refined_bus
+        oracle = GalerkinEntries(basis_set, layout.permittivity)
+        serial = build_hmatrix(oracle, leaf_size=12)
+        pooled = build_hmatrix(
+            GalerkinEntries(basis_set, layout.permittivity),
+            leaf_size=12,
+            num_workers=3,
+            executor=executor,
+        )
+        assert pooled.entries_sampled == serial.entries_sampled == oracle.entries_sampled > 0
 
     def test_validation(self, entries):
         with pytest.raises(ValueError, match="num_workers"):

@@ -111,6 +111,18 @@ class TestExtractorModes:
         assert shared.parallel_setup.num_nodes == 3
         assert distributed.parallel_setup.num_nodes == 4
 
+    @pytest.mark.parametrize(
+        "mode, expected", [("serial", 1), ("shared_memory", 4), ("distributed", 4)]
+    )
+    def test_metadata_reports_the_nodes_used(self, crossing_layout, mode, expected):
+        # The serial flow runs one node whatever num_nodes says.
+        result = CapacitanceExtractor(
+            ExtractionConfig(parallel_mode=mode, num_nodes=4)
+        ).extract(crossing_layout)
+        assert result.metadata["num_nodes"] == expected
+        assert len(result.metadata["node_seconds"]) == expected
+        assert result.as_dict()["num_workers"] == expected
+
     def test_accelerated_extraction_close_to_plain(self, crossing_layout):
         plain = CapacitanceExtractor().extract(crossing_layout)
         accelerated = CapacitanceExtractor(

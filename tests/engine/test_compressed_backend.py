@@ -85,6 +85,21 @@ class TestResultPlumbing:
         assert metadata["num_near_blocks"] >= 1
 
 
+class TestEntriesSampled:
+    @pytest.mark.parametrize(
+        "executor", ["thread", pytest.param("process", marks=pytest.mark.multiprocess)]
+    )
+    def test_pooled_count_equals_serial(self, small_bus_layout, executor):
+        serial, pooled = (
+            get_backend("galerkin-aca").extract(
+                small_bus_layout, executor=e, face_refinement=2, leaf_size=8, num_workers=2
+            )
+            for e in ("serial", executor)
+        )
+        np.testing.assert_array_equal(pooled.capacitance, serial.capacitance)
+        assert pooled.metadata["entries_sampled"] == serial.metadata["entries_sampled"] > 0
+
+
 class TestValidation:
     def test_rejects_invalid_workers(self, small_bus_layout):
         with pytest.raises(ValueError, match="num_workers"):

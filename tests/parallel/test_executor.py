@@ -241,7 +241,7 @@ _CASES = {
         entries = GalerkinEntries(build_basis_set(layout), layout.permittivity)
         check(
             hmatrix,
-            "_process_worker",
+            "_assemble_partition",
             lambda: hmatrix.build_hmatrix(entries, leaf_size=8, num_workers=2, executor="process"),
         )
     """,
