@@ -29,15 +29,33 @@ import json
 import os
 import sys
 from pathlib import Path
-
-# The sibling summary helper must resolve even when this file is loaded via
-# importlib (the unit tests do), not just when run as a script.
-_SCRIPTS_DIR = str(Path(__file__).resolve().parent)
-if _SCRIPTS_DIR not in sys.path:
-    sys.path.insert(0, _SCRIPTS_DIR)
-from gate_summary import append_step_summary, markdown_table  # noqa: E402
+from typing import Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+    """A GitHub-flavoured markdown table as a list of lines."""
+    lines = [
+        "| " + " | ".join(str(h) for h in headers) + " |",
+        "| " + " | ".join("---" for _ in headers) + " |",
+    ]
+    for row in rows:
+        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+    return lines
+
+
+def append_step_summary(lines: Sequence[str]) -> bool:
+    """Append markdown lines to ``$GITHUB_STEP_SUMMARY`` when it is set.
+
+    Returns whether anything was written (False outside GitHub Actions).
+    """
+    target = os.environ.get("GITHUB_STEP_SUMMARY")
+    if not target:
+        return False
+    with Path(target).open("a", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n\n")
+    return True
 
 
 def collect_rows(data: dict) -> tuple[list[list[str]], list[str]]:

@@ -1,30 +1,26 @@
-"""Accuracy benchmark over the workload registry; writes ``BENCH_accuracy.json``.
+"""Accuracy benchmark over the workload registry.
 
 Extracts every registered workload family with every registered backend and
 compares the capacitance matrices against the committed golden references
 in ``benchmarks/golden/`` — the same suite the CI accuracy gate
 (``benchmarks/check_accuracy.py``) runs via ``python -m repro accuracy``.
-The machine-readable artifact lands at the repository root next to
-``BENCH_engine.json``.
+The machine-readable artifact is written to the test's temporary directory,
+so a test run leaves the checkout untouched.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from conftest import run_once
 
 from repro.engine.registry import available_backends
 from repro.workloads import all_workloads, run_accuracy_suite, write_accuracy_json
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
-
-def test_accuracy_suite(benchmark, quick_mode):
+def test_accuracy_suite(benchmark, quick_mode, tmp_path):
     """All backends x all workload families within tolerance vs golden."""
     report = run_once(benchmark, run_accuracy_suite, quick=quick_mode)
     print("\n" + report.text)
-    target = write_accuracy_json(report, REPO_ROOT / "BENCH_accuracy.json")
+    target = write_accuracy_json(report, tmp_path / "BENCH_accuracy.json")
     print(f"\nwrote {target}")
     benchmark.extra_info["worst"] = report.data["worst"]
 

@@ -57,7 +57,6 @@ API_MODULES = [
     "repro.obs.metrics",
     "repro.obs.logging",
     "repro.obs.clock",
-    "repro.obs.profile",
 ]
 
 HEADER = """\

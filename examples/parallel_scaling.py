@@ -2,9 +2,11 @@
 
 Extracts a crossing bus through the ``galerkin-distributed`` backend and
 prints the per-worker setup times and communication volumes of the paper's
-Section 5.2 flow, then runs the scaling harness (the engine of
-``python -m repro scale``) over both parallel backends and prints the
-speedup/efficiency tables.
+Section 5.2 flow, then prints the paper's Table 3 sweep
+(:func:`repro.core.experiments.run_table3`): speedup and efficiency of both
+assembly flows over node counts.  Those timings come from the
+``SimulatedParallelMachine`` model fed with calibrated per-partition work,
+not from wall-clock runs; ``perfbench/run.py`` measures the real pool.
 
 Run with ``python examples/parallel_scaling.py``.
 """
@@ -12,8 +14,8 @@ Run with ``python examples/parallel_scaling.py``.
 from __future__ import annotations
 
 from repro.analysis import format_table
+from repro.core.experiments import run_table3
 from repro.engine import get_backend
-from repro.engine.scaling import run_scaling_bench
 from repro.geometry import generators
 
 
@@ -39,7 +41,7 @@ def main() -> None:
     )
     print()
 
-    report = run_scaling_bench(quick=True, worker_counts=(1, 2, 4), sizes=(3,))
+    report = run_table3(bus_size=3, shared_nodes=(1, 2, 4), distributed_nodes=(1, 2, 4))
     print(report.text)
 
 

@@ -1,6 +1,6 @@
 """Analysis utilities: scaling metrics, published reference curves, reports."""
 
-from repro.analysis.efficiency import ScalingPoint, ScalingTable, amdahl_efficiency, fit_serial_fraction
+from repro.analysis.efficiency import ScalingPoint, ScalingTable, amdahl_efficiency
 from repro.analysis.reference_curves import (
     parallel_fmm_efficiency,
     parallel_pfft_efficiency,
@@ -12,7 +12,6 @@ __all__ = [
     "ScalingPoint",
     "ScalingTable",
     "amdahl_efficiency",
-    "fit_serial_fraction",
     "parallel_fmm_efficiency",
     "parallel_pfft_efficiency",
     "published_reference_curves",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ScalingPoint", "ScalingTable", "amdahl_efficiency", "fit_serial_fraction"]
+__all__ = ["ScalingPoint", "ScalingTable", "amdahl_efficiency"]
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,3 @@ def amdahl_efficiency(num_nodes: np.ndarray, serial_fraction: float) -> np.ndarr
         raise ValueError(f"serial_fraction must be in [0, 1], got {serial_fraction}")
     speedup = 1.0 / (serial_fraction + (1.0 - serial_fraction) / num_nodes)
     return speedup / num_nodes
-
-
-def fit_serial_fraction(node_counts: np.ndarray, efficiencies: np.ndarray) -> float:
-    """Least-squares fit of the Amdahl serial fraction to measured efficiencies."""
-    node_counts = np.asarray(node_counts, dtype=float)
-    efficiencies = np.asarray(efficiencies, dtype=float)
-    if node_counts.shape != efficiencies.shape or node_counts.size == 0:
-        raise ValueError("node_counts and efficiencies must be non-empty and aligned")
-    candidates = np.linspace(0.0, 0.5, 2001)
-    errors = [
-        float(np.sum((amdahl_efficiency(node_counts, s) - efficiencies) ** 2))
-        for s in candidates
-    ]
-    return float(candidates[int(np.argmin(errors))])

@@ -22,8 +22,7 @@ Importing this package registers the six stock backends (``instantiable``,
 :func:`register_backend`.
 
 The command-line front end lives in :mod:`repro.engine.cli`
-(``python -m repro``), the benchmark driver in :mod:`repro.engine.bench`,
-the worker-count scaling harness in :mod:`repro.engine.scaling`.
+(``python -m repro``).
 """
 
 from repro.compress.backend import GalerkinACABackend

@@ -6,7 +6,7 @@ those one-off measurements into a first-class layer shared by the engine,
 the solvers and the serving front-end:
 
 * :mod:`repro.obs.clock` -- the one monotonic clock every timing number in
-  the repo is taken from, so bench artifacts and spans agree;
+  the repo is taken from, so result timings and spans agree;
 * :mod:`repro.obs.trace` -- a zero-dependency span tracer: context-manager
   spans with parent/child nesting, ``contextvars`` propagation across
   asyncio tasks and thread pools, and a JSON-ready span tree per trace;
@@ -14,10 +14,7 @@ the solvers and the serving front-end:
   histograms rendered in the Prometheus text exposition format (the
   ``GET /metrics`` endpoint of the extraction server);
 * :mod:`repro.obs.logging` -- a JSON line formatter stamping every record
-  with the active trace id;
-* :mod:`repro.obs.profile` -- the ``python -m repro profile`` harness: one
-  workload run under the tracer, reported as a span-tree breakdown and
-  written to ``BENCH_profile.json``.
+  with the active trace id.
 
 Everything is stdlib-only and costs near nothing when idle: a span outside
 an active trace is a shared no-op object, and a disabled metrics registry

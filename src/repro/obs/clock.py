@@ -2,9 +2,9 @@
 
 Spans, the ``SolverTimer`` phase laps, the batched-kernel chunk timings and
 the serve-layer latency measurements all read :func:`now`, so a span's
-duration and the corresponding bench-artifact field are taken from the same
-clock and agree to measurement noise.  The indirection also gives tests one
-seam to monkeypatch when they need deterministic timings.
+duration and the corresponding result or benchmark field are taken from the
+same clock and agree to measurement noise.  The indirection also gives
+tests one seam to monkeypatch when they need deterministic timings.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ service (ROADMAP's millions-of-users layer)::
 or from the command line::
 
     python -m repro serve --port 8421
-    python -m repro loadtest --requests 200
 
 Module map -- one module per concern:
 
@@ -30,8 +29,8 @@ Module map -- one module per concern:
 * :mod:`repro.serve.server` -- the asyncio server: routing, NDJSON batch
   streaming, graceful shutdown drain;
 * :mod:`repro.serve.client` -- dependency-free asyncio client helpers;
-* :mod:`repro.serve.loadtest` -- Zipf-workload harness emitting
-  ``BENCH_service.json`` (throughput, p50/p99 latency, cache hit rate).
+* :mod:`repro.serve.loadtest` -- the Zipf popularity model of repeated
+  layouts that ``perfbench/service.py`` drives the server with.
 
 See ``docs/service.md`` for the wire protocol and an end-to-end ``curl``
 session, and ``docs/architecture.md`` for where the package sits in the
@@ -40,12 +39,6 @@ pipeline.
 
 from repro.serve.client import request_json, stream_batch
 from repro.serve.config import DEFAULT_CACHE_DIR, DEFAULT_SHARDS, ServeConfig, ShardSpec
-from repro.serve.loadtest import (
-    BENCH_SERVICE_FILENAME,
-    run_loadtest,
-    write_service_json,
-    zipf_probabilities,
-)
 from repro.serve.protocol import ExtractSpec, SpecError, build_request, parse_extract_spec
 from repro.serve.queue import QueueClosed, QueueFull, RequestQueue
 from repro.serve.server import ExtractionServer, run_server
@@ -53,7 +46,6 @@ from repro.serve.shards import Job, ShardPool
 from repro.serve.store import ResultStore
 
 __all__ = [
-    "BENCH_SERVICE_FILENAME",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_SHARDS",
     "ExtractSpec",
@@ -70,9 +62,6 @@ __all__ = [
     "build_request",
     "parse_extract_spec",
     "request_json",
-    "run_loadtest",
     "run_server",
     "stream_batch",
-    "write_service_json",
-    "zipf_probabilities",
 ]

@@ -1,53 +1,18 @@
-"""Load-test harness of the extraction server (``python -m repro loadtest``).
+"""Zipf popularity model of repeated-layout extraction traffic.
 
 Real extraction traffic is highly repetitive -- the same layout patterns
-recur across chips and across users -- so the harness models demand as a
-**Zipf-distributed** draw over a pool of distinct layouts: rank ``k`` is
-requested with probability proportional to ``k**-s`` (default exponent
-``s = 1.1``).  It boots an in-process server on an ephemeral port, fires
-the sampled requests through ``concurrency`` persistent client workers,
-and measures what the serving layer is for:
-
-* **throughput** (served requests per wall-clock second),
-* **latency** (p50 / p99 / mean / max, per request over the wire),
-* **cache hit rate** (responses served from the persistent store or
-  coalesced onto an in-flight identical request -- no recompute),
-* **cold-restart behaviour**: a second server instance on the same cache
-  directory must serve the hottest layout from disk without recompute.
-
-``write_service_json`` emits the machine-readable ``BENCH_service.json``
-gated structurally by ``benchmarks/check_regression.py``.
+recur across chips and across users -- so load against the service is
+modelled as a **Zipf-distributed** draw over a pool of distinct layouts:
+rank ``k`` is requested with probability proportional to ``k**-s``.
+``perfbench/service.py`` draws its open-loop request stream from
+:func:`zipf_probabilities`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
-from repro.analysis.report import format_table
-from repro.core.experiments import ExperimentReport
-from repro.engine.request import DEFAULT_BACKEND
-from repro.obs import clock
-from repro.serve.client import request_json
-from repro.serve.config import ServeConfig, ShardSpec
-from repro.serve.server import ExtractionServer
-
-__all__ = [
-    "BENCH_SERVICE_FILENAME",
-    "zipf_probabilities",
-    "run_loadtest",
-    "write_service_json",
-]
-
-#: Default name of the machine-readable service benchmark artifact.
-BENCH_SERVICE_FILENAME = "BENCH_service.json"
-
-#: Micron scale of the generated layout pool.
-_UM = 1e-6
+__all__ = ["zipf_probabilities"]
 
 
 def zipf_probabilities(pool_size: int, exponent: float = 1.1) -> np.ndarray:
@@ -63,208 +28,3 @@ def zipf_probabilities(pool_size: int, exponent: float = 1.1) -> np.ndarray:
         raise ValueError(f"exponent must be > 0, got {exponent}")
     weights = np.arange(1, pool_size + 1, dtype=float) ** (-float(exponent))
     return weights / weights.sum()
-
-
-def _layout_pool_specs(pool_size: int, backend: str) -> list[dict]:
-    """``pool_size`` distinct request specs over the crossing-wires family.
-
-    Geometry varies through the separation knob, so every rank has its own
-    fingerprint while each individual solve stays quick-bench sized.
-    """
-    return [
-        {
-            "generator": "crossing_wires",
-            "params": {"separation": (0.5 + 0.125 * rank) * _UM},
-            "backend": backend,
-            "label": f"rank{rank}",
-        }
-        for rank in range(pool_size)
-    ]
-
-
-async def _drive(
-    server: ExtractionServer,
-    specs: list[dict],
-    sequence: np.ndarray,
-    concurrency: int,
-) -> list[dict]:
-    """Fire the sampled request sequence through persistent client workers."""
-    queue: asyncio.Queue[int | None] = asyncio.Queue()
-    for rank in sequence:
-        queue.put_nowait(int(rank))
-    for _ in range(concurrency):
-        queue.put_nowait(None)  # one poison pill per worker
-    samples: list[dict] = []
-
-    async def _worker() -> None:
-        while True:
-            rank = await queue.get()
-            if rank is None:
-                return
-            start = clock.now()
-            status, payload = await request_json(
-                server.config.host, server.port, "POST", "/v1/extract", specs[rank]
-            )
-            samples.append(
-                {
-                    "rank": rank,
-                    "http_status": status,
-                    "status": payload.get("status", "error") if isinstance(payload, dict) else "error",
-                    "latency_seconds": clock.now() - start,
-                }
-            )
-
-    await asyncio.gather(*(_worker() for _ in range(concurrency)))
-    return samples
-
-
-async def _run_async(
-    specs: list[dict],
-    sequence: np.ndarray,
-    concurrency: int,
-    cache_dir: Path,
-    queue_depth: int,
-    workers: int,
-) -> dict:
-    config = ServeConfig(
-        host="127.0.0.1",
-        port=0,
-        cache_dir=cache_dir,
-        shards=(ShardSpec(name="loadtest", backends=(), workers=workers, queue_depth=queue_depth),),
-    )
-    server = ExtractionServer(config)
-    await server.start()
-    try:
-        wall_start = clock.now()
-        samples = await _drive(server, specs, sequence, concurrency)
-        wall_seconds = clock.now() - wall_start
-        stats = server.stats()
-    finally:
-        await server.shutdown()
-
-    # Cold restart on the same cache directory: the hottest layout must be
-    # served from the persistent store, i.e. without recompute.
-    restart = ExtractionServer(config)
-    await restart.start()
-    try:
-        _, payload = await request_json(
-            restart.config.host, restart.port, "POST", "/v1/extract", specs[0]
-        )
-        cold_restart_cached = isinstance(payload, dict) and payload.get("status") == "cached"
-    finally:
-        await restart.shutdown()
-    return {
-        "samples": samples,
-        "wall_seconds": wall_seconds,
-        "server_stats": stats,
-        "cold_restart_cached": cold_restart_cached,
-    }
-
-
-def run_loadtest(
-    num_requests: int = 150,
-    pool_size: int = 12,
-    concurrency: int = 8,
-    exponent: float = 1.1,
-    backend: str = DEFAULT_BACKEND,
-    seed: int = 7,
-    cache_dir: str | Path | None = None,
-    queue_depth: int = 256,
-    workers: int = 2,
-) -> ExperimentReport:
-    """Run the Zipf workload against an in-process server and report.
-
-    Parameters
-    ----------
-    num_requests:
-        Total requests fired (across all client workers).
-    pool_size:
-        Distinct layouts in the pool; rank 0 is the most popular.
-    concurrency:
-        Persistent client workers issuing requests back to back.
-    exponent:
-        Zipf exponent of the popularity distribution.
-    backend:
-        Backend named by every request (default: the engine default).
-    seed:
-        Seed of the popularity draw -- the same seed replays the exact
-        request sequence.
-    cache_dir:
-        Persistent store directory; default is a fresh temporary
-        directory so the measured hit rate is the workload's, not a
-        previous run's.
-    queue_depth, workers:
-        Sizing of the single load-test shard.
-    """
-    if num_requests < 1:
-        raise ValueError(f"num_requests must be >= 1, got {num_requests}")
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    specs = _layout_pool_specs(pool_size, backend)
-    rng = np.random.default_rng(seed)
-    sequence = rng.choice(pool_size, size=num_requests, p=zipf_probabilities(pool_size, exponent))
-
-    with tempfile.TemporaryDirectory(prefix="repro-loadtest-") as temp_dir:
-        target_dir = Path(cache_dir) if cache_dir is not None else Path(temp_dir)
-        outcome = asyncio.run(
-            _run_async(specs, sequence, concurrency, target_dir, queue_depth, workers)
-        )
-
-    samples = outcome["samples"]
-    latencies = np.array([s["latency_seconds"] for s in samples])
-    statuses: dict[str, int] = {}
-    for sample in samples:
-        statuses[sample["status"]] = statuses.get(sample["status"], 0) + 1
-    hits = statuses.get("cached", 0) + statuses.get("coalesced", 0)
-    failed = sum(1 for s in samples if s["http_status"] != 200)
-    data = {
-        "num_requests": len(samples),
-        "pool_size": pool_size,
-        "zipf_exponent": exponent,
-        "concurrency": concurrency,
-        "backend": backend,
-        "seed": seed,
-        "wall_seconds": outcome["wall_seconds"],
-        "throughput_per_second": len(samples) / outcome["wall_seconds"],
-        "latency_seconds": {
-            "p50": float(np.percentile(latencies, 50)),
-            "p99": float(np.percentile(latencies, 99)),
-            "mean": float(latencies.mean()),
-            "max": float(latencies.max()),
-        },
-        "cache": {
-            "hits": hits,
-            "computed": statuses.get("completed", 0),
-            "hit_rate": hits / len(samples) if samples else 0.0,
-            "statuses": statuses,
-        },
-        "failed": failed,
-        "cold_restart_cached": outcome["cold_restart_cached"],
-        "server_stats": outcome["server_stats"],
-    }
-
-    latency = data["latency_seconds"]
-    rows = [
-        ["requests", f"{data['num_requests']} (pool {pool_size}, Zipf s={exponent}, seed {seed})"],
-        ["throughput", f"{data['throughput_per_second']:.1f} req/s over {data['wall_seconds']:.2f} s"],
-        ["latency", f"p50 {latency['p50'] * 1e3:.1f} ms | p99 {latency['p99'] * 1e3:.1f} ms"],
-        [
-            "cache hit rate",
-            f"{data['cache']['hit_rate']:.1%} ({hits} hits, {data['cache']['computed']} computed)",
-        ],
-        ["cold restart", "served from persistent cache" if data["cold_restart_cached"] else "RECOMPUTED"],
-        ["failures", str(failed)],
-    ]
-    text = format_table(
-        ["metric", "value"],
-        rows,
-        title=f"Service load test -- {backend} backend, {concurrency} clients",
-    )
-    return ExperimentReport(name="service_loadtest", text=text, data=data)
-
-
-def write_service_json(report: ExperimentReport, path: str | Path | None = None) -> Path:
-    """Write a load-test report's data to ``BENCH_service.json``."""
-    target = Path(path) if path is not None else Path.cwd() / BENCH_SERVICE_FILENAME
-    target.write_text(json.dumps(report.data, indent=2, sort_keys=True) + "\n")
-    return target

@@ -4,7 +4,7 @@ The package mirrors the engine's backend registry on the problem side: a
 :class:`~repro.workloads.registry.Workload` names one parametric layout
 family (factory, quick/full parameters, size knob, per-backend options and
 accuracy tolerances), and the registry serves them by name to the accuracy
-harness, the scaling/compression benches and the CLI::
+harness, the HTTP service and the CLI::
 
     from repro.workloads import get_workload, run_accuracy_suite
 

@@ -5,7 +5,7 @@ family end to end: the layout factory, its quick/full parameter sets, the
 size knob that scales the family for sweeps, per-backend extraction options
 and per-backend accuracy tolerances against the golden reference.  Families
 register under a short name (``"bus_crossing"``, ``"guard_ring"``, ...) so
-the accuracy suite, the scaling benches and the CLI can select them by
+the accuracy suite, the HTTP service and the CLI can select them by
 string — the same pattern the engine uses for backends.
 """
 

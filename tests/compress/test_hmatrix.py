@@ -218,6 +218,26 @@ class TestSymmetricStorage:
         assert np.all(coverage == 1)
         assert hmatrix.stored_entries < n * n
 
+    def test_backend_storage_grows_subquadratically(self):
+        """``galerkin-aca`` stored entries ~ N^p with p < 2 over bus 2x2..4x4.
+
+        The dense backends store exactly ``N^2``; the fitted exponent is the
+        storage the compression buys.
+        """
+        from repro.engine import get_backend
+        from repro.workloads import get_workload
+
+        family = get_workload("bus_crossing")
+        backend = get_backend("galerkin-aca")
+        unknowns, stored = [], []
+        for size in (2, 3, 4):
+            result = backend.extract(family.sized_layout(size), epsilon=1e-4, face_refinement=3)
+            assert 0 < result.stored_entries < result.num_unknowns**2
+            unknowns.append(result.num_unknowns)
+            stored.append(result.stored_entries)
+        exponent = np.polyfit(np.log(unknowns), np.log(stored), 1)[0]
+        assert exponent < 2.0
+
 
 class TestLockstepACA:
     """All far blocks of a partition share one oracle call per ACA step."""

@@ -1,5 +1,5 @@
 """Unit tests of the CI accuracy gate (``benchmarks/check_accuracy.py``)
-and the shared step-summary helpers (``benchmarks/gate_summary.py``)."""
+and its step-summary helpers."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ def _load(name: str):
 
 
 gate = _load("check_accuracy")
-summary = _load("gate_summary")
 
 
 def _payload(within: bool = True, failures: list[str] | None = None) -> dict:
@@ -113,19 +112,19 @@ class TestMain:
 
 class TestGateSummary:
     def test_markdown_table_shape(self):
-        lines = summary.markdown_table(["a", "b"], [["1", "2"], ["3", "4"]])
+        lines = gate.markdown_table(["a", "b"], [["1", "2"], ["3", "4"]])
         assert lines[0] == "| a | b |"
         assert lines[1] == "| --- | --- |"
         assert lines[2:] == ["| 1 | 2 |", "| 3 | 4 |"]
 
     def test_append_is_noop_outside_ci(self, monkeypatch):
         monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        assert summary.append_step_summary(["## x"]) is False
+        assert gate.append_step_summary(["## x"]) is False
 
     def test_append_accumulates(self, tmp_path, monkeypatch):
         target = tmp_path / "summary.md"
         monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(target))
-        assert summary.append_step_summary(["## first"]) is True
-        assert summary.append_step_summary(["## second"]) is True
+        assert gate.append_step_summary(["## first"]) is True
+        assert gate.append_step_summary(["## second"]) is True
         content = target.read_text()
         assert "## first" in content and "## second" in content

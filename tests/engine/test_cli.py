@@ -58,46 +58,11 @@ class TestExtractCommand:
             main(["extract", "--generator", "flux_capacitor"])
 
 
-class TestFrwCommand:
-    def test_frw_writes_json(self, capsys, tmp_path):
-        target = tmp_path / "BENCH_frw.json"
-        code = main(["frw", "--quick", "--workers", "1,2", "--output", str(target)])
-        assert code == 0
-        assert "wrote" in capsys.readouterr().out
-        data = json.loads(target.read_text())
-        assert data["workload"] == "crossing_wires"
-        assert data["budget"]["variance_ratio"] > 0.0
-        assert set(data["adaptive"]["modes"]) == {"plain", "antithetic"}
-        assert set(data["parallel"]["workers"]) == {"1", "2"}
-        for entry in data["parallel"]["workers"].values():
-            assert entry["max_abs_diff"] == 0.0
-
-    def test_unknown_workload_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="no workload named"):
-            main(["frw", "--workload", "flux_capacitor", "--output", str(tmp_path / "x.json")])
-
-
-class TestBenchCommand:
-    def test_bench_writes_json(self, capsys, tmp_path):
-        target = tmp_path / "BENCH_engine.json"
-        assert main(["bench", "--executor", "serial", "--output", str(target)]) == 0
+class TestCommandSet:
+    def test_help_lists_exactly_the_engine_verbs(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
         output = capsys.readouterr().out
-        assert "Service batch" in output
-        data = json.loads(target.read_text())
-        assert set(data["backends"]) == {
-            "instantiable",
-            "pwc-dense",
-            "fastcap",
-            "galerkin-shared",
-            "galerkin-distributed",
-            "galerkin-aca",
-            "frw",
-        }
-        for name, entry in data["backends"].items():
-            assert entry["setup_seconds"] >= 0.0
-            if name == "frw":
-                assert entry["num_unknowns"] == 0  # Monte Carlo: no system
-            else:
-                assert entry["num_unknowns"] > 0
-        assert data["throughput_per_second"] > 0.0
-        assert data["service_batch"]["cache_hits"] >= 1
+        verbs = output.split("{", 1)[1].split("}", 1)[0].split(",")
+        assert verbs == ["backends", "extract", "workloads", "accuracy", "serve"]

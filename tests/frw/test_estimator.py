@@ -163,6 +163,43 @@ class TestAdaptiveMode:
         assert estimate.rel_std > 1e-9
 
 
+class TestAntitheticSampling:
+    """Antithetic pairing must pay off on a strongly coupled crossing.
+
+    The two wires of the ``crossing_wires`` workload at a fixed seed: the
+    mirrored first hop cancels most of the coupling variance.
+    """
+
+    @pytest.fixture(scope="class")
+    def crossing_scene(self):
+        from repro.workloads import get_workload
+
+        return build_scene(get_workload("crossing_wires").layout())
+
+    def test_variance_ratio_above_one_at_a_matched_budget(self, crossing_scene):
+        plain, antithetic = (
+            estimate_capacitance(crossing_scene, num_walks=4096, seed=0, antithetic=mode)
+            for mode in (False, True)
+        )
+        assert (plain.rel_std / antithetic.rel_std) ** 2 > 1.0
+
+    def test_fewer_walks_to_the_target(self, crossing_scene):
+        plain, antithetic = (
+            estimate_capacitance(
+                crossing_scene,
+                num_walks=1024,
+                batch_size=1024,
+                target_rel_std=0.10,
+                max_walks=262144,
+                seed=0,
+                antithetic=mode,
+            )
+            for mode in (False, True)
+        )
+        assert plain.rel_std <= 0.10 and antithetic.rel_std <= 0.10
+        assert antithetic.num_walks[0] < plain.num_walks[0]
+
+
 class TestTelemetry:
     def test_serial_round_is_one_group_span(self, scene):
         observed = estimator_module._GROUP_SECONDS.count()

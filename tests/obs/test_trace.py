@@ -143,3 +143,29 @@ class TestPropagation:
 
     def test_record_span_outside_a_trace_is_inert(self):
         record_span("nowhere", 1.0)  # must not raise
+
+
+class TestExtractionSpans:
+    """An extraction under a trace reports its engine, assembly and solver layers."""
+
+    @staticmethod
+    def extract_under_trace(backend):
+        from repro.engine.service import ExtractionService
+        from repro.workloads import get_workload
+
+        layout = get_workload("bus_crossing").layout()
+        service = ExtractionService(executor="serial", cache_capacity=0)
+        with start_trace("extract", backend=backend) as trace:
+            service.extract(layout, backend=backend)
+        return [name for name, _ in names(trace.tree())]
+
+    def test_dense_extraction_emits_engine_assembly_and_solver_spans(self):
+        spans = self.extract_under_trace("instantiable")
+        for expected in ("engine.extract", "phase.setup", "assembly.assemble",
+                         "phase.solve", "solver.direct"):
+            assert expected in spans
+
+    def test_compressed_extraction_emits_hmatrix_build_and_gmres(self):
+        spans = self.extract_under_trace("galerkin-aca")
+        for expected in ("engine.extract", "assembly.build_hmatrix", "solver.gmres"):
+            assert expected in spans

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import (
     ScalingTable,
     amdahl_efficiency,
-    fit_serial_fraction,
     format_table,
     parallel_fmm_efficiency,
     parallel_pfft_efficiency,
@@ -107,12 +106,6 @@ class TestAmdahl:
     def test_zero_serial_fraction_is_ideal(self):
         nodes = np.asarray([1, 2, 4, 8])
         assert np.allclose(amdahl_efficiency(nodes, 0.0), 1.0)
-
-    def test_serial_fraction_recovers_from_fit(self):
-        nodes = np.asarray([1.0, 2.0, 4.0, 8.0])
-        truth = 0.07
-        measured = amdahl_efficiency(nodes, truth)
-        assert fit_serial_fraction(nodes, measured) == pytest.approx(truth, abs=0.01)
 
     def test_invalid_serial_fraction(self):
         with pytest.raises(ValueError):

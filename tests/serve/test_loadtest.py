@@ -1,17 +1,10 @@
-"""Tests of the Zipf load generator and the service load-test harness."""
+"""Tests of the Zipf popularity model of service load."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.serve.loadtest import (
-    BENCH_SERVICE_FILENAME,
-    run_loadtest,
-    write_service_json,
-    zipf_probabilities,
-)
+from repro.serve.loadtest import zipf_probabilities
 
 
 class TestZipfProbabilities:
@@ -36,68 +29,3 @@ class TestZipfProbabilities:
             zipf_probabilities(0)
         with pytest.raises(ValueError, match="exponent"):
             zipf_probabilities(4, exponent=-1.0)
-
-
-class TestRunLoadtest:
-    def test_smoke_run_hits_the_cache(self, tmp_path):
-        """A small Zipf run: repeats dominate, so the cache must carry > 50%."""
-        report = run_loadtest(
-            num_requests=24,
-            pool_size=4,
-            concurrency=4,
-            seed=3,
-            cache_dir=tmp_path / "cache",
-            workers=2,
-        )
-        data = report.data
-        assert data["num_requests"] == 24
-        assert data["failed"] == 0
-        assert data["throughput_per_second"] > 0.0
-        assert data["cache"]["hit_rate"] > 0.5
-        assert data["cache"]["computed"] <= data["pool_size"]
-        assert data["cold_restart_cached"] is True
-        latency = data["latency_seconds"]
-        assert 0.0 <= latency["p50"] <= latency["p99"] <= latency["max"]
-        statuses = data["cache"]["statuses"]
-        assert sum(statuses.values()) == 24
-        assert set(statuses) <= {"completed", "cached", "coalesced"}
-        assert report.text  # the human-readable table renders
-
-    def test_report_passes_the_ci_gate(self, tmp_path):
-        """The artifact this harness writes must satisfy check_regression."""
-        import importlib.util
-        from pathlib import Path
-
-        script = Path(__file__).resolve().parents[2] / "benchmarks" / "check_regression.py"
-        spec = importlib.util.spec_from_file_location("check_regression_lt", script)
-        gate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gate)
-
-        report = run_loadtest(
-            num_requests=20, pool_size=4, concurrency=4, seed=3, cache_dir=tmp_path / "c"
-        )
-        assert gate.check_service(report.data) == []
-
-    def test_write_service_json(self, tmp_path):
-        report = run_loadtest(
-            num_requests=12, pool_size=3, concurrency=3, seed=5, cache_dir=tmp_path / "c"
-        )
-        target = write_service_json(report, tmp_path / BENCH_SERVICE_FILENAME)
-        payload = json.loads(target.read_text())
-        assert payload["num_requests"] == 12
-        assert payload["cache"]["hit_rate"] > 0.0
-        assert "server_stats" in payload
-
-    def test_seed_reproducibility(self, tmp_path):
-        first = run_loadtest(
-            num_requests=16, pool_size=4, concurrency=2, seed=11, cache_dir=tmp_path / "a"
-        )
-        second = run_loadtest(
-            num_requests=16, pool_size=4, concurrency=2, seed=11, cache_dir=tmp_path / "b"
-        )
-        # Same seed, fresh caches: the same set of distinct layouts is solved.
-        assert first.data["cache"]["computed"] == second.data["cache"]["computed"]
-
-    def test_invalid_arguments(self, tmp_path):
-        with pytest.raises(ValueError, match="num_requests"):
-            run_loadtest(num_requests=0, cache_dir=tmp_path)
