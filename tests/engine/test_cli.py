@@ -66,3 +66,20 @@ class TestCommandSet:
         output = capsys.readouterr().out
         verbs = output.split("{", 1)[1].split("}", 1)[0].split(",")
         assert verbs == ["backends", "extract", "workloads", "accuracy", "serve"]
+
+    @pytest.mark.parametrize("verb", ["backends", "extract", "workloads", "accuracy", "serve"])
+    def test_each_verb_has_help(self, verb, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--help"])
+        assert excinfo.value.code == 0
+        assert f"repro {verb}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "verb", ["bench", "scale", "kernel", "solver", "frw", "loadtest", "profile"]
+    )
+    def test_benchmark_verbs_are_gone(self, verb, capsys):
+        # Performance is measured by perfbench/run.py, not by the CLI.
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -99,6 +99,26 @@ class TestResultPlumbing:
         assert "num_workers" not in result.as_dict()
 
 
+class TestSizedBusFamily:
+    """The registered bus family sized through its knob, as a scaling sweep runs it."""
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_sized_bus_matches_serial_at_two_workers(self, backend, size):
+        from repro.workloads import get_workload
+
+        layout = get_workload("bus_crossing").sized_layout(size)
+        assert layout.num_conductors == 2 * size
+        serial = get_backend("instantiable").extract(layout)
+        result = get_backend(backend).extract(layout, workers=2)
+        np.testing.assert_allclose(result.capacitance, serial.capacitance, rtol=1e-10)
+        sent = result.worker_communication_bytes
+        if backend == "galerkin-distributed":
+            assert sent[0] == 0 and sent[1] > 0
+        else:
+            assert sent == [0, 0]
+
+
 class TestValidation:
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_rejects_invalid_workers(self, crossing_layout, backend):

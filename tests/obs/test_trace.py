@@ -148,16 +148,57 @@ class TestPropagation:
 class TestExtractionSpans:
     """An extraction under a trace reports its engine, assembly and solver layers."""
 
+    #: The layer spans each stock backend opens beneath ``engine.extract``.
+    LAYER_SPANS = {
+        "instantiable": ("assembly.assemble", "solver.direct"),
+        "pwc-dense": ("solver.direct",),
+        "fastcap": ("solver.gmres",),
+        "galerkin-shared": ("assembly.assemble", "solver.gmres"),
+        "galerkin-distributed": ("assembly.assemble", "solver.gmres"),
+        "galerkin-aca": ("assembly.build_hmatrix", "solver.gmres"),
+        "frw": ("frw.scene", "frw.walks"),
+    }
+
     @staticmethod
-    def extract_under_trace(backend):
+    def traced_extraction(backend):
+        """Extract the quick bus under a trace with the family's options."""
         from repro.engine.service import ExtractionService
         from repro.workloads import get_workload
 
-        layout = get_workload("bus_crossing").layout()
+        family = get_workload("bus_crossing")
+        options = dict(family.backend_options.get(backend, {}))
         service = ExtractionService(executor="serial", cache_capacity=0)
         with start_trace("extract", backend=backend) as trace:
-            service.extract(layout, backend=backend)
+            result = service.extract(family.layout(), backend=backend, **options)
+        return trace, result
+
+    @classmethod
+    def extract_under_trace(cls, backend):
+        trace, _ = cls.traced_extraction(backend)
         return [name for name, _ in names(trace.tree())]
+
+    def test_every_stock_backend_is_covered(self):
+        from repro.engine import available_backends
+
+        assert set(self.LAYER_SPANS) == set(available_backends())
+
+    @pytest.mark.parametrize("backend", sorted(LAYER_SPANS))
+    def test_backend_emits_engine_phase_and_layer_spans(self, backend):
+        spans = self.extract_under_trace(backend)
+        assert spans[0] == "extract"
+        for expected in ("engine.extract", "phase.setup", "phase.solve",
+                         *self.LAYER_SPANS[backend]):
+            assert expected in spans
+
+    @pytest.mark.parametrize("backend", sorted(LAYER_SPANS))
+    def test_phase_spans_enclose_the_result_timings(self, backend):
+        # The phase span opens before and closes after the timer lap on the
+        # same clock, so it can only be longer than the reported field.
+        trace, result = self.traced_extraction(backend)
+        phases = trace.phase_seconds()
+        assert phases["phase.setup"] >= result.setup_seconds > 0.0
+        assert phases["phase.solve"] >= result.solve_seconds > 0.0
+        assert trace.trace_id in trace.render()
 
     def test_dense_extraction_emits_engine_assembly_and_solver_spans(self):
         spans = self.extract_under_trace("instantiable")
