@@ -8,9 +8,9 @@ Galerkin matrix into an :class:`~repro.compress.hmatrix.HMatrix` (dense near
 field, ACA low-rank far field — never materialising ``N x N``; block
 assembly runs on the parallel executor selected by
 ``num_workers``/``executor``), and solves with the Jacobi-preconditioned
-GMRES shared by every iterative backend — by default in *blocked*
-multi-right-hand-side mode, where every stored block is traversed once per
-lockstep iteration instead of once per conductor.  The returned result
+lockstep GMRES shared by every iterative backend, where every stored block
+is traversed once per iteration of a column block instead of once per
+conductor.  The returned result
 carries the compression statistics (``stored_entries``,
 ``compression_ratio``, ``max_block_rank``) alongside the usual timings and
 the solver telemetry.
@@ -90,9 +90,9 @@ class GalerkinACABackend:
         gmres_tolerance, max_iterations:
             Controls of the iterative solve.
         block_size:
-            Conductor columns per blocked-GMRES traversal group: ``None``
-            (default) solves all right-hand sides in one lockstep block,
-            ``1`` falls back to the historical per-column loop.
+            Conductor columns per lockstep GMRES block: ``None``
+            (default) solves all right-hand sides in one block, ``1``
+            gives each right-hand side a block of its own.
         """
         # Imported here: the pipeline's module imports this package.
         from repro.core.engine import extract_galerkin

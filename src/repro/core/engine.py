@@ -12,9 +12,9 @@ They differ only in the setup and solve it is handed:
 backend              setup                                   solve
 ==================== ======================================= ==============
 instantiable         dense, flow of ``config.parallel_mode`` direct
-galerkin-shared      dense, shared-memory flow (Section 5.1) blocked GMRES
-galerkin-distributed dense, distributed flow (Section 5.2)   blocked GMRES
-galerkin-aca         H-matrix (:func:`build_hmatrix`)        blocked GMRES
+galerkin-shared      dense, shared-memory flow (Section 5.1) lockstep GMRES
+galerkin-distributed dense, distributed flow (Section 5.2)   lockstep GMRES
+galerkin-aca         H-matrix (:func:`build_hmatrix`)        lockstep GMRES
 ==================== ======================================= ==============
 
 The last three translate their options into an :class:`ExtractionConfig`
@@ -108,7 +108,7 @@ def extract_galerkin(
     gmres:
         ``None`` solves the dense matrix directly; the ``tolerance``,
         ``max_iterations`` and ``block_size`` of
-        :func:`~repro.solver.iterative.gmres_solve` run the blocked
+        :func:`~repro.solver.iterative.gmres_solve` run the lockstep
         Jacobi-preconditioned GMRES, whose statistics join the metadata.
     """
     basis_set = build_basis_set(layout, config.instantiation)
@@ -161,7 +161,6 @@ def extract_galerkin(
     if stats is not None:
         metadata.update(
             gmres_tolerance=gmres["tolerance"],
-            solver_mode=stats.mode,
             operator_traversals=stats.operator_traversals,
         )
     operator_bytes = setup.memory_bytes if compressed else int(operator.nbytes)

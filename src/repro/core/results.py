@@ -192,7 +192,6 @@ class ExtractionResult:
             summary["total_iterations"] = self.iterations.total_iterations
             summary["iterations_per_rhs"] = list(self.iterations.iterations_per_rhs)
             summary["max_iterations"] = self.iterations.max_iterations
-            summary["solver_mode"] = self.iterations.mode
             summary["operator_traversals"] = self.iterations.operator_traversals
         if self.compression_ratio is not None:
             summary["stored_entries"] = self.stored_entries

@@ -6,10 +6,9 @@ an :class:`~repro.core.config.ExtractionConfig` on its flow and runs the one
 Galerkin pipeline, :func:`~repro.core.engine.extract_galerkin`: instantiate
 the compact basis, fill the condensed Galerkin matrix through one of the
 parallel assembly flows in :mod:`repro.assembly`, and solve the assembled
-system with the Jacobi-preconditioned GMRES of :mod:`repro.solver.iterative`
-— by default in blocked multi-right-hand-side mode, sharing each matrix
-traversal across all conductor columns (``block_size=1`` restores the
-per-conductor column loop):
+system with the Jacobi-preconditioned lockstep GMRES of
+:mod:`repro.solver.iterative`, by default sharing each matrix traversal
+across all conductor columns:
 
 ==================== ===================================== ==================
 name                 assembly flow                         communication
@@ -36,8 +35,8 @@ tolerance, order_near, order_far, batch_size:
 gmres_tolerance, max_iterations:
     Controls of the iterative solve.
 block_size:
-    Conductor columns per blocked-GMRES traversal group (``None`` = all in
-    one lockstep block, ``1`` = the historical per-column loop).
+    Conductor columns per lockstep GMRES block (``None`` = all in one
+    block, ``1`` = one block per conductor).
 
 The returned :class:`~repro.core.results.ExtractionResult` carries the full
 :class:`~repro.assembly.shared_memory.ParallelSetupResult` — per-worker setup

@@ -43,9 +43,9 @@ class FastCapSolver:
     tolerance:
         GMRES relative residual tolerance.
     block_size:
-        Conductor columns per blocked-GMRES traversal group (``None`` =
-        all conductors iterate in one lockstep block sharing each
-        near-field traversal, ``1`` = one GMRES solve per conductor).
+        Conductor columns per lockstep GMRES block (``None`` = all
+        conductors iterate in one block sharing each near-field
+        traversal, ``1`` = one block per conductor).
     """
 
     def __init__(
@@ -132,7 +132,6 @@ class FastCapSolver:
                 "num_panels": len(panels),
                 "theta": self.theta,
                 "expansion_order": self.expansion_order,
-                "solver_mode": stats.mode,
                 "operator_traversals": stats.operator_traversals,
                 "tree_depth": operator.tree.depth,
                 "num_leaves": len(operator.tree.leaves),

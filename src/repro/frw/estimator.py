@@ -22,9 +22,9 @@ Each round is cut into contiguous *groups* of batches that walk in
 lockstep (:func:`~repro.frw.walks.run_walk_batches`): serially the whole
 round is one group; with ``num_workers > 1`` the round is split into at
 most ``num_workers`` groups that fan out over one ``process``-mode
-:class:`~repro.parallel.executor.WorkerPool` kept for the whole estimate
-(the worker-tuple idiom of the parallel assemblers, shipping the scene
-once per group).  Groups are further capped at
+:class:`~repro.parallel.executor.WorkerPool` kept for the whole estimate.
+Its workers inherit the scene when they are forked, so a job is just a
+group's batch list.  Groups are further capped at
 ``_GROUP_WALK_BOXES`` walks x scene boxes, which bounds the distance
 oracle's temporaries.  Which group a batch runs in never changes its
 result.  Each group is timed where it ran; the parent re-attaches the
@@ -117,15 +117,6 @@ class FRWEstimate:
     num_batches: np.ndarray
 
 
-def _group_worker(job: tuple) -> WalkGroupResult:
-    """Worker entry point: rebuild the batch generators, walk one group."""
-    scene, batches, antithetic, max_hops = job
-    specs = [
-        (source, size, np.random.default_rng(seed_key)) for source, size, seed_key in batches
-    ]
-    return run_walk_batches(scene, specs, antithetic, max_hops)
-
-
 def _batch_sizes(num_walks: int, batch_size: int, antithetic: bool) -> list[int]:
     """Split a walk budget into batch sizes (even sizes in antithetic mode)."""
     if antithetic:
@@ -203,16 +194,18 @@ def _groups(batches: list[tuple], num_parts: int, num_boxes: int) -> list[list[t
     return groups
 
 
-def _run_groups(jobs: list[tuple], pool: WorkerPool) -> list[WalkGroupResult]:
-    """Run group jobs on the pool (in job order), with telemetry."""
-    results = pool.map(_group_worker, jobs)
-    for job, result in zip(jobs, results):
+def _run_groups(
+    groups: list[list[tuple]], pool: WorkerPool[WalkGroupResult]
+) -> list[WalkGroupResult]:
+    """Walk the groups on the pool (in group order), with telemetry."""
+    results = pool.map(groups)
+    for group, result in zip(groups, results):
         batches = result.batches
         record_span(
             "frw.group",
             result.seconds,
             batches=len(batches),
-            walks=sum(size for _, size, _ in job[1]),
+            walks=sum(size for _, size, _ in group),
             hops=result.hops,
             steps=result.steps,
             executor=pool.mode,
@@ -292,7 +285,14 @@ def estimate_capacitance(
     parallel = num_workers > 1 and scene.num_conductors * len(round_sizes) > 1
     walk_seconds = 0.0
 
-    def run_round(pool: WorkerPool) -> None:
+    def walk_group(group: list[tuple]) -> WalkGroupResult:
+        """Rebuild the group's batch generators and walk it (in a worker)."""
+        specs = [
+            (source, size, np.random.default_rng(seed_key)) for source, size, seed_key in group
+        ]
+        return run_walk_batches(scene, specs, antithetic, max_hops)
+
+    def run_round(pool: WorkerPool[WalkGroupResult]) -> None:
         nonlocal walk_seconds
         batches = [
             (source, size, (seed, source, rows[source].batches + offset))
@@ -300,13 +300,12 @@ def estimate_capacitance(
             for offset, size in enumerate(round_sizes)
         ]
         groups = _groups(batches, num_workers if parallel else 1, scene.box_lo.shape[0])
-        jobs = [(scene, group, antithetic, max_hops) for group in groups]
-        for group, result in zip(groups, _run_groups(jobs, pool)):
+        for group, result in zip(groups, _run_groups(groups, pool)):
             walk_seconds += result.seconds
             for (source, size, _), batch in zip(group, result.batches):
                 rows[source].add(batch, walks=size)
 
-    with WorkerPool("process" if parallel else "serial", num_workers) as pool:
+    with WorkerPool(walk_group, "process" if parallel else "serial", num_workers) as pool:
         run_round(pool)
         if target_rel_std is not None:
             while (

@@ -16,8 +16,8 @@ pools and worker tasks:
   which are created long before any request exists).
 
 Fork-pool workers cannot share the in-process trace object; their wall
-times travel back over the pipe as plain floats (the existing worker-tuple
-idiom) and are re-attached as synthesized spans via :func:`record_span`.
+times travel back over the pipe as plain floats in each job's result and
+are re-attached as synthesized spans via :func:`record_span`.
 
 Outside an active trace every helper is a cheap no-op: :func:`span`
 returns a shared inert object, so permanently instrumented hot paths cost

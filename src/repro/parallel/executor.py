@@ -12,22 +12,22 @@ job order, in one of the :data:`MODES`:
   pickled, and a dead worker raises ``BrokenProcessPool`` instead of
   hanging the caller.
 
-:func:`map_jobs` opens a pool of ``min(workers, len(jobs))`` for one call.
-In ``process`` mode that pool hands ``fn`` to its workers through the pool
-initializer: the forked workers inherit it with the rest of the parent's
-memory, so ``fn`` is never pickled and may be any callable -- a closure
-over the caller's assembler, say, or over an unpicklable lock.  Each call
-forks its own workers with its own ``fn``, so concurrent calls from several
-threads do not mix their callables.  :class:`WorkerPool` is the
-context-manager form that serves several calls; its ``process`` mode
-pickles ``fn`` with every job, so there it must be a module-level function.
+:class:`WorkerPool` takes ``fn`` when it is built and serves any number of
+:meth:`~WorkerPool.map` calls; :func:`map_jobs` is a one-shot pool of
+``min(workers, len(jobs))`` workers.  In ``process`` mode the pool hands
+``fn`` to its workers through the pool initializer: the forked workers
+inherit it with the rest of the parent's memory, so ``fn`` is never pickled
+and may be any callable -- a closure over the caller's assembler or scene,
+say, or over an unpicklable lock.  Only the jobs and the results are
+pickled.  Each pool forks its own workers with its own ``fn``, so
+concurrent pools in several threads do not mix their callables.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
 from repro.obs.trace import propagate
 
@@ -46,18 +46,8 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-def _fork_executor(workers: int, inherited: Callable[[Any], Any] | None = None) -> Executor:
-    """A ``fork`` process pool; its workers inherit ``inherited``, unpickled."""
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=None if inherited is None else _inherit,
-        initargs=() if inherited is None else (inherited,),
-    )
-
-
-#: The ``fn`` of the per-call pool a worker process serves, set in the
-#: worker by the pool initializer; never set in the parent.
+#: The ``fn`` of the pool a worker process serves, set in the worker by the
+#: pool initializer; never set in the parent.
 _inherited: Callable[[Any], Any] | None = None
 
 
@@ -68,60 +58,58 @@ def _inherit(fn: Callable[[Any], Any]) -> None:
 
 
 def _run_inherited(job: Any) -> Any:
-    """The job function a per-call pool pickles: run the inherited ``fn``."""
+    """The job function a process pool pickles: run the inherited ``fn``."""
     assert _inherited is not None, "no callable was inherited by this worker"
     return _inherited(job)
 
 
-class WorkerPool:
-    """A pool of ``workers`` workers in ``mode``, closed on context exit.
+class WorkerPool(Generic[R]):
+    """A pool of ``workers`` workers in ``mode`` running ``fn``, closed on context exit.
 
     The pool itself is created at construction; a ``fork`` pool forks its
-    workers at the first submitted job.
+    workers, which inherit ``fn``, at the first submitted job.
     """
 
-    def __init__(self, mode: str, workers: int):
+    def __init__(self, fn: Callable[[Any], R], mode: str, workers: int):
         self.mode = check_mode(mode)
+        self._fn = fn
         self._executor: Executor | None = None
         if mode == "thread":
             self._executor = ThreadPoolExecutor(max_workers=workers)
         elif mode == "process":
-            self._executor = _fork_executor(workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_inherit,
+                initargs=(fn,),
+            )
 
-    def __enter__(self) -> WorkerPool:
+    def __enter__(self) -> WorkerPool[R]:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         if self._executor is not None:
             self._executor.shutdown()
 
-    def map(self, fn: Callable[[Any], R], jobs: Iterable[Any]) -> list[R]:
+    def map(self, jobs: Iterable[Any]) -> list[R]:
         """``[fn(job) for job in jobs]``, run on the pool; re-raises a job's error."""
         if self._executor is None:
-            return [fn(job) for job in jobs]
+            return [self._fn(job) for job in jobs]
         if self.mode == "thread":
-            futures = [self._executor.submit(propagate(fn, job)) for job in jobs]
+            futures = [self._executor.submit(propagate(self._fn, job)) for job in jobs]
         else:
-            futures = [self._executor.submit(fn, job) for job in jobs]
+            futures = [self._executor.submit(_run_inherited, job) for job in jobs]
         return [future.result() for future in futures]
 
 
 def map_jobs(fn: Callable[[Any], R], jobs: Sequence[Any], *, mode: str, workers: int) -> list[R]:
     """Run ``fn`` on every job in ``mode`` and return the results in job order.
 
-    In ``process`` mode the workers inherit ``fn`` when they are forked, so
-    only the jobs and the results are pickled.
+    A one-shot :class:`WorkerPool` of ``min(workers, len(jobs))`` workers;
+    in ``process`` mode only the jobs and the results are pickled.
     """
     check_mode(mode)
     if not jobs:
         return []
-    workers = min(workers, len(jobs))
-    if mode != "process":
-        with WorkerPool(mode, workers) as pool:
-            return pool.map(fn, jobs)
-    executor = _fork_executor(workers, inherited=fn)
-    try:
-        futures = [executor.submit(_run_inherited, job) for job in jobs]
-        return [future.result() for future in futures]
-    finally:
-        executor.shutdown()
+    with WorkerPool(fn, mode, min(workers, len(jobs))) as pool:
+        return pool.map(jobs)

@@ -30,8 +30,8 @@ trace id is echoed in an ``X-Trace-Id`` header on every response and
 stamped on the server's JSON log lines.
 
 Shutdown is graceful: :meth:`ExtractionServer.shutdown` stops accepting,
-answers in-progress connections with 503, drains every shard queue and
-joins the workers before returning.
+answers in-progress connections with 503, drains every shard queue, joins
+the workers and closes the connections still open before returning.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ class ExtractionServer:
         self._draining = False
         self._started_at = 0.0
         self._requests_seen = 0
+        #: Open connections: each handler task and its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -125,11 +127,10 @@ class ExtractionServer:
             await self._server.serve_forever()
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain the shard queues, join the workers."""
+        """Stop accepting, drain the shard queues, join the workers, close connections."""
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         try:
             await asyncio.wait_for(
                 asyncio.gather(*(pool.drain() for pool in self.shards.values())),
@@ -137,11 +138,21 @@ class ExtractionServer:
             )
         except asyncio.TimeoutError:  # pragma: no cover - needs a wedged backend
             pass
+        # Close the connections still open (idle keep-alive ones included)
+        # and let their handlers finish here, not be cancelled at loop exit.
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -158,6 +169,7 @@ class ExtractionServer:
         except (ConnectionResetError, BrokenPipeError):  # client went away
             pass
         finally:
+            del self._connections[task]
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()

@@ -5,10 +5,9 @@ solve is a direct factorisation (paper Section 3: "we will resort to the
 standard direct method implemented in multithreaded linear algebra
 libraries").  The matrix-free backends (compressed H-matrix, multipole
 PWC, parallel Galerkin) use the Jacobi-preconditioned GMRES of
-:mod:`repro.solver.iterative` instead — by default in *blocked*
-multi-right-hand-side mode, where all conductor excitations iterate in
-lockstep and every operator traversal is shared across the columns
-(``block_size=1`` restores the historical one-solve-per-conductor loop).
+:mod:`repro.solver.iterative` instead: all conductor excitations of a block iterate in lockstep and
+every operator traversal is shared across its columns (by default one
+block holds every conductor; ``block_size=1`` gives each its own).
 Per-column iteration counts and the number of operator traversals are
 reported through :class:`~repro.solver.iterative.IterativeStats`.
 """

@@ -2,47 +2,43 @@
 
 The FASTCAP-like baseline, the parallel Galerkin flows and the compressed
 ``galerkin-aca`` path all solve their (possibly multi-right-hand-side)
-systems through :func:`gmres_solve`.  Two execution modes exist:
+systems through :func:`gmres_solve`, one lockstep GMRES: the right-hand
+sides are cut into blocks of ``block_size`` columns, and each outer
+iteration applies the operator ONCE to the matrix of current Krylov vectors
+of every still-unconverged column of the block.  Each column keeps its own
+Arnoldi basis, Hessenberg factorisation and Givens-rotation residual
+tracking, so convergence is still monitored per column and columns drop
+out of the block as they converge.  For an operator whose cost is
+dominated by traversing stored blocks (the H-matrix, a dense matrix, the
+multipole near field), this shares one traversal across the whole block
+instead of paying one per column — the number of operator *traversals*
+drops from ``sum_j iterations_j`` (``block_size=1``) to
+``max_j iterations_j`` (one block).
 
-* **column mode** — one scipy GMRES solve per right-hand side, the
-  historical path.  Every iteration of every column traverses the full
-  operator once.
-* **blocked mode** — when the caller supplies a ``matmat`` (a multi-vector
-  operator product), all right-hand sides iterate in lockstep: each outer
-  iteration applies the operator ONCE to the matrix of current Krylov
-  vectors of every still-unconverged column.  Each column keeps its own
-  Arnoldi basis, Hessenberg factorisation and Givens-rotation residual
-  tracking, so convergence is still monitored per column and columns drop
-  out of the block as they converge.  For an operator whose cost is
-  dominated by traversing stored blocks (the H-matrix, a dense matrix, the
-  multipole near field), this shares one traversal across the whole block
-  instead of paying one per column — the number of operator *traversals*
-  drops from ``sum_j iterations_j`` to ``max_j iterations_j``.
-
-Both modes use the same Jacobi (diagonal-scaling) left preconditioner built
-by :func:`jacobi_preconditioner`.
+Every solve uses the Jacobi (diagonal-scaling) left preconditioner built by
+:func:`jacobi_preconditioner`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import LinearOperator
 
 from repro.obs import metrics
 from repro.obs.trace import span
 
 __all__ = ["IterativeStats", "jacobi_preconditioner", "gmres_solve"]
 
-_SOLVES = metrics.counter("repro_gmres_solves_total", "GMRES solves, by execution mode", ("mode",))
+_SOLVES = metrics.counter("repro_gmres_solves_total", "GMRES solves")
 _ITERATIONS = metrics.counter(
-    "repro_gmres_iterations_total", "Krylov iterations summed over all right-hand sides", ("mode",)
+    "repro_gmres_iterations_total", "Krylov iterations summed over all right-hand sides"
 )
 _TRAVERSALS = metrics.counter(
-    "repro_gmres_traversals_total", "Operator traversals performed by GMRES solves", ("mode",)
+    "repro_gmres_traversals_total", "Operator traversals performed by GMRES solves"
 )
 
 #: Multi-vector operator product ``A @ X`` for an ``(n, k)`` block ``X``.
@@ -86,25 +82,14 @@ class IterativeStats:
     ----------
     iterations_per_rhs:
         Krylov iterations taken by each right-hand side.
-    mode:
-        ``"column"`` (one solve per right-hand side) or ``"blocked"``
-        (lockstep multi-vector iteration).
     operator_traversals:
-        Number of times the solve traversed the stored operator: one
-        single-vector application per column iteration in column mode, one
-        multi-vector application per lockstep iteration in blocked mode.
-        The blocked win is exactly ``total_iterations -
-        operator_traversals``.
+        Number of multi-vector operator applications: one per lockstep
+        iteration of each column block.  The saving of a shared block is
+        exactly ``total_iterations - operator_traversals``.
     """
 
     iterations_per_rhs: list[int]
-    mode: str = "column"
-    operator_traversals: int = field(default=-1)
-
-    def __post_init__(self) -> None:
-        if self.operator_traversals < 0:
-            # Column-mode default: every iteration is one full traversal.
-            self.operator_traversals = int(sum(self.iterations_per_rhs))
+    operator_traversals: int
 
     @property
     def total_iterations(self) -> int:
@@ -127,7 +112,7 @@ def gmres_solve(
     matmat: MatMat | None = None,
     block_size: int | None = None,
 ) -> tuple[np.ndarray, IterativeStats]:
-    """Solve ``A x = b`` with GMRES, column by column or blocked.
+    """Solve ``A x = b`` with lockstep GMRES over blocks of columns.
 
     Parameters
     ----------
@@ -139,20 +124,18 @@ def gmres_solve(
         System dimension.
     tolerance:
         Relative residual tolerance (per column, against the preconditioned
-        right-hand-side norm, like scipy's ``rtol``).
+        right-hand-side norm).
     max_iterations:
-        Iteration cap per right-hand side.
+        Krylov iteration cap per right-hand side (GMRES never restarts).
     diagonal:
         Optional diagonal of ``A`` used as a Jacobi preconditioner.
     matmat:
-        Optional multi-vector product ``A @ X``.  When provided (and the
-        right-hand side has more than one column), the solve runs in
-        blocked mode: one operator traversal per lockstep iteration is
-        shared by every still-active column.
+        Optional multi-vector product ``A @ X``; without it each block
+        product applies ``matvec`` one column at a time.
     block_size:
         Columns per lockstep block.  ``None`` (default) solves all columns
-        in one block; ``1`` falls back to the per-column scipy loop even
-        when ``matmat`` is available; intermediate values chunk the columns.
+        in one block sharing every operator traversal; ``1`` gives each
+        column a block of its own; intermediate values chunk the columns.
 
     Returns
     -------
@@ -167,108 +150,51 @@ def gmres_solve(
         raise ValueError(f"rhs has {columns.shape[0]} rows, expected {size}")
     if block_size is not None and block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
+    if matmat is None:
+        matmat = _column_by_column(matvec)
+
+    inverse_diagonal = None
+    if diagonal is not None:
+        jacobi_preconditioner(diagonal)  # shared validation
+        inverse_diagonal = 1.0 / np.asarray(diagonal, dtype=float)
 
     num_columns = columns.shape[1]
-    blocked = matmat is not None and num_columns > 1 and block_size != 1
+    chunk = int(block_size or max(num_columns, 1))
     with span("solver.gmres", size=size, num_rhs=num_columns) as gmres_span:
-        if not blocked:
-            solution, stats = _column_gmres(
-                matvec, columns, size, tolerance, max_iterations, diagonal
+        solution = np.empty_like(columns)
+        iterations: list[int] = []
+        traversals = 0
+        for start in range(0, num_columns, chunk):
+            stop = min(start + chunk, num_columns)
+            block, block_iterations, block_traversals = _blocked_gmres(
+                matmat,
+                columns[:, start:stop],
+                tolerance,
+                max_iterations,
+                inverse_diagonal,
+                rhs_offset=start,
             )
-        else:
-            chunk = num_columns if block_size is None else min(int(block_size), num_columns)
-            inverse_diagonal = None
-            if diagonal is not None:
-                jacobi_preconditioner(diagonal)  # shared validation
-                inverse_diagonal = 1.0 / np.asarray(diagonal, dtype=float)
-            solution = np.empty_like(columns)
-            iterations: list[int] = []
-            traversals = 0
-            assert matmat is not None
-            for start in range(0, num_columns, chunk):
-                stop = min(start + chunk, num_columns)
-                block, block_iterations, block_traversals = _blocked_gmres(
-                    matmat,
-                    columns[:, start:stop],
-                    tolerance,
-                    max_iterations,
-                    inverse_diagonal,
-                    rhs_offset=start,
-                )
-                solution[:, start:stop] = block
-                iterations.extend(block_iterations)
-                traversals += block_traversals
-            stats = IterativeStats(
-                iterations_per_rhs=iterations,
-                mode="blocked",
-                operator_traversals=traversals,
-            )
+            solution[:, start:stop] = block
+            iterations.extend(block_iterations)
+            traversals += block_traversals
+        stats = IterativeStats(iterations_per_rhs=iterations, operator_traversals=traversals)
         if gmres_span is not None:
             gmres_span.attributes.update(
-                mode=stats.mode,
                 iterations=stats.total_iterations,
                 traversals=stats.operator_traversals,
             )
-        _SOLVES.inc(mode=stats.mode)
-        _ITERATIONS.inc(stats.total_iterations, mode=stats.mode)
-        _TRAVERSALS.inc(stats.operator_traversals, mode=stats.mode)
+        _SOLVES.inc()
+        _ITERATIONS.inc(stats.total_iterations)
+        _TRAVERSALS.inc(stats.operator_traversals)
     return (solution[:, 0] if single_column else solution), stats
 
 
 # ----------------------------------------------------------------------
-def _column_gmres(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    columns: np.ndarray,
-    size: int,
-    tolerance: float,
-    max_iterations: int,
-    diagonal: np.ndarray | None,
-) -> tuple[np.ndarray, IterativeStats]:
-    """The historical per-column scipy GMRES loop."""
-    operator = LinearOperator((size, size), matvec=matvec)
-    preconditioner = jacobi_preconditioner(diagonal) if diagonal is not None else None
-
-    solution = np.empty_like(columns)
-    iterations: list[int] = []
-    for column in range(columns.shape[1]):
-        counter = _IterationCounter()
-        x, info = gmres(
-            operator,
-            columns[:, column],
-            rtol=tolerance,
-            maxiter=max_iterations,
-            M=preconditioner,
-            callback=counter,
-            callback_type="pr_norm",
-        )
-        if info < 0:
-            # scipy signals illegal input or an unrecoverable breakdown with
-            # a negative code — silently accepting x would return garbage.
-            raise RuntimeError(
-                f"GMRES failed with illegal input or breakdown "
-                f"(right-hand side {column}, error code {info})"
-            )
-        if info > 0:
-            raise RuntimeError(
-                f"GMRES did not converge within {max_iterations} iterations "
-                f"(right-hand side {column}, residual info {info})"
-            )
-        solution[:, column] = x
-        iterations.append(counter.count)
-    return solution, IterativeStats(iterations_per_rhs=iterations, mode="column")
+def _column_by_column(matvec: Callable[[np.ndarray], np.ndarray]) -> MatMat:
+    """The block product ``A @ X`` that applies ``matvec`` one column at a time."""
+    return lambda block: np.column_stack([matvec(column) for column in block.T])
 
 
-class _IterationCounter:
-    """Callback object counting GMRES iterations."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def __call__(self, _residual_norm: float) -> None:
-        self.count += 1
-
-
-# ----------------------------------------------------------------------
 def _blocked_gmres(
     matmat: MatMat,
     block_rhs: np.ndarray,
@@ -362,7 +288,7 @@ def _blocked_gmres(
             f"rhs {rhs_offset + j}: |r|={abs(g[j][iterations[j]]):.3e}" for j in active
         )
         raise RuntimeError(
-            f"blocked GMRES did not converge within {max_iterations} iterations "
+            f"GMRES did not converge within {max_iterations} iterations "
             f"({residuals})"
         )
     return solution, iterations, traversals

@@ -63,7 +63,7 @@ class TestModes:
         with pytest.raises(ValueError, match=message):
             map_jobs(square, [1], mode=mode, workers=1)
         with pytest.raises(ValueError, match=message):
-            WorkerPool(mode, 1)
+            WorkerPool(square, mode, 1)
         with pytest.raises(ValueError, match=message):
             map_jobs(square, [], mode=mode, workers=1)
 
@@ -97,10 +97,10 @@ class TestInProcessModes:
 
     @pytest.mark.parametrize("mode", ["serial", "thread"])
     def test_one_pool_serves_several_calls(self, mode):
-        with WorkerPool(mode, 2) as pool:
+        with WorkerPool(square, mode, 2) as pool:
             assert pool.mode == mode
-            assert pool.map(square, [1, 2]) == [1, 4]
-            assert pool.map(square, [3]) == [9]
+            assert pool.map([1, 2]) == [1, 4]
+            assert pool.map([3]) == [9]
 
 
 def test_no_other_compute_pool_in_src():
@@ -130,9 +130,9 @@ class TestProcessMode:
             map_jobs(fail_on_two, [1, 2, 3], mode="process", workers=2)
 
     def test_one_pool_serves_several_calls(self):
-        with WorkerPool("process", 2) as pool:
-            assert pool.map(square, [1, 2, 3]) == [1, 4, 9]
-            assert pool.map(square, [4]) == [16]
+        with WorkerPool(square, "process", 2) as pool:
+            assert pool.map([1, 2, 3]) == [1, 4, 9]
+            assert pool.map([4]) == [16]
 
     def test_killed_worker_raises(self):
         with pytest.raises(BrokenProcessPool):
@@ -174,10 +174,21 @@ class TestProcessMode:
         for tag in "ab":
             assert results[tag] == [[(tag, x) for x in range(4)]] * 3
 
-    def test_worker_pool_still_pickles_fn(self):
-        with WorkerPool("process", 1) as pool:
-            with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
-                pool.map(lambda x: x, [1])
+    def test_worker_pool_serves_an_unpicklable_closure_twice(self):
+        # One pool, two map calls: the forked workers inherit fn once and
+        # run it for every job, so fn is never pickled.
+        lock = threading.Lock()
+        offset = 10
+
+        def locked_shift(x: int) -> int:
+            with lock:
+                return x + offset
+
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(locked_shift)
+        with WorkerPool(locked_shift, "process", 2) as pool:
+            assert pool.map([1, 2, 3]) == [11, 12, 13]
+            assert pool.map([4]) == [14]
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +263,7 @@ _CASES = {
         scene = build_scene(generators.crossing_wires())
         check(
             estimator,
-            "_group_worker",
+            "run_walk_batches",
             lambda: estimator.estimate_capacitance(
                 scene, num_walks=256, batch_size=64, num_workers=2
             ),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 import time
 
@@ -255,13 +256,17 @@ class TestGracefulShutdown:
         assert body["status"] == "completed"
         assert slow_backend.calls == 1
 
-    def test_draining_server_rejects_new_work_with_503(self, tmp_path):
+    def test_draining_server_rejects_new_work_with_503(self, tmp_path, slow_backend):
         async def scenario():
             server = ExtractionServer(_config(tmp_path))
             await server.start()
             host, port = server.config.host, server.port
-            # Open the connection before the drain, send the request after.
+            # An in-flight slow extraction keeps the drain running.
+            slow = {"generator": "crossing_wires", "backend": "test-slow"}
+            inflight = asyncio.create_task(request_json(host, port, "POST", "/v1/extract", slow))
+            # Open the connection before the drain, send the request during it.
             reader, writer = await asyncio.open_connection(host, port)
+            await asyncio.sleep(0.1)  # let the slow request reach the worker
             drain_task = asyncio.create_task(server.shutdown())
             await asyncio.sleep(0.05)
             from repro.serve.client import _encode_request, _read_head
@@ -273,11 +278,41 @@ class TestGracefulShutdown:
             writer.close()
             await writer.wait_closed()
             await drain_task
-            return status, body
+            return status, body, await inflight
 
-        status, body = asyncio.run(scenario())
+        status, body, (slow_status, _) = asyncio.run(scenario())
         assert status == 503
         assert b"draining" in body
+        assert slow_status == 200
+
+    def test_open_keep_alive_connection_is_closed_by_shutdown(self, tmp_path, caplog):
+        async def scenario():
+            server = ExtractionServer(_config(tmp_path))
+            await server.start()
+            host, port = server.config.host, server.port
+            from repro.serve.client import _read_head
+
+            # One answered request, then the client holds the connection open.
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
+            await writer.drain()
+            status, headers = await _read_head(reader)
+            await reader.readexactly(int(headers["content-length"]))
+            handlers = list(server._connections)
+            await server.shutdown()
+            closed_by_server = await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            return status, handlers, closed_by_server, server._connections
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            status, handlers, closed_by_server, left_open = asyncio.run(scenario())
+        assert status == 200
+        assert len(handlers) == 1
+        assert all(task.done() and not task.cancelled() for task in handlers)
+        assert left_open == {}
+        assert closed_by_server
+        assert [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR] == []
 
     def test_health_reports_draining(self, tmp_path):
         async def scenario():

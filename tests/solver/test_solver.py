@@ -72,19 +72,6 @@ class TestGMRES:
         with pytest.raises(ValueError):
             gmres_solve(lambda x: matrix @ x, rhs, size=matrix.shape[0] + 1)
 
-    def test_negative_info_raises_distinct_error(self, rng, monkeypatch):
-        # Regression: scipy signals illegal input / breakdown with info < 0;
-        # that used to be silently treated as success.
-        matrix, rhs = _spd_system(rng)
-        import repro.solver.iterative as iterative
-
-        def failing_gmres(op, b, **kwargs):
-            return np.zeros_like(b), -1
-
-        monkeypatch.setattr(iterative, "gmres", failing_gmres)
-        with pytest.raises(RuntimeError, match="illegal input or breakdown"):
-            gmres_solve(lambda x: matrix @ x, rhs, size=matrix.shape[0])
-
     def test_positive_info_raises_nonconvergence(self, rng):
         matrix, rhs = _spd_system(rng)
         # An impossible tolerance within one iteration cannot converge.
@@ -121,20 +108,17 @@ class TestJacobiPreconditioner:
 
 
 class TestBlockedGMRES:
-    def test_matches_column_loop_to_1e12(self, rng):
+    @pytest.mark.parametrize("block_size", [1, None])
+    def test_matches_direct_solve_to_1e12(self, rng, block_size):
         matrix, rhs = _spd_system(rng, size=24)
-        column, column_stats = gmres_solve(
-            lambda x: matrix @ x, rhs, size=24, tolerance=1e-12,
-            diagonal=np.diag(matrix), block_size=1,
-        )
-        blocked, blocked_stats = gmres_solve(
+        direct = np.linalg.solve(matrix, rhs)
+        solution, _ = gmres_solve(
             lambda x: matrix @ x, rhs, size=24, tolerance=1e-12,
             diagonal=np.diag(matrix), matmat=lambda block: matrix @ block,
+            block_size=block_size,
         )
-        assert column_stats.mode == "column"
-        assert blocked_stats.mode == "blocked"
-        scale = np.max(np.abs(column))
-        assert np.max(np.abs(blocked - column)) <= 1e-12 * scale
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(solution - direct)) <= 1e-12 * scale
 
     def test_blocked_shares_operator_traversals(self, rng):
         matrix, rhs = _spd_system(rng, size=24)
@@ -149,6 +133,35 @@ class TestBlockedGMRES:
         assert blocked_stats.operator_traversals == blocked_stats.max_iterations
         assert blocked_stats.operator_traversals < column_stats.operator_traversals
 
+    def test_matvec_alone_builds_the_block_product(self, rng):
+        matrix, rhs = _spd_system(rng, size=16)
+        products = []
+
+        def matvec(x):
+            products.append(x.shape)
+            return matrix @ x
+
+        solution, stats = gmres_solve(
+            matvec, rhs, size=16, tolerance=1e-12, diagonal=np.diag(matrix)
+        )
+        assert np.allclose(solution, np.linalg.solve(matrix, rhs), rtol=1e-9)
+        assert set(products) == {(16,)}
+        assert len(products) == stats.total_iterations
+
+    @pytest.mark.parametrize("block_size", [1, None])
+    def test_one_iteration_short_fails_to_converge(self, block_size):
+        # diag(1..k): the Krylov space of the ones vector reaches the exact
+        # solution only at iteration k, so k - 1 iterations cannot converge.
+        k = 6
+        matrix = np.diag(np.arange(1.0, k + 1))
+        rhs = np.ones((k, 2))
+        common = dict(size=k, tolerance=1e-10, matmat=lambda block: matrix @ block,
+                      block_size=block_size)
+        _, stats = gmres_solve(lambda x: matrix @ x, rhs, max_iterations=k, **common)
+        assert stats.iterations_per_rhs == [k, k]
+        with pytest.raises(RuntimeError, match=f"did not converge within {k - 1} iterations"):
+            gmres_solve(lambda x: matrix @ x, rhs, max_iterations=k - 1, **common)
+
     def test_intermediate_block_size_chunks_columns(self, rng):
         matrix, rhs = _spd_system(rng, size=20)
         direct = np.linalg.solve(matrix, rhs)
@@ -157,7 +170,6 @@ class TestBlockedGMRES:
             diagonal=np.diag(matrix), matmat=lambda block: matrix @ block,
             block_size=2,
         )
-        assert stats.mode == "blocked"
         assert len(stats.iterations_per_rhs) == rhs.shape[1]
         assert np.allclose(blocked, direct, rtol=1e-6)
 
@@ -173,7 +185,7 @@ class TestBlockedGMRES:
 
     def test_blocked_nonconvergence_raises(self, rng):
         matrix, rhs = _spd_system(rng, size=16)
-        with pytest.raises(RuntimeError, match="blocked GMRES did not converge"):
+        with pytest.raises(RuntimeError, match="GMRES did not converge"):
             gmres_solve(
                 lambda x: matrix @ x, rhs, size=16, tolerance=1e-300,
                 matmat=lambda block: matrix @ block, max_iterations=2,
@@ -189,13 +201,6 @@ class TestBlockedGMRES:
 
 
 class TestIterativeStatsTelemetry:
-    def test_column_default_traversals(self):
-        stats = IterativeStats(iterations_per_rhs=[3, 5, 4])
-        assert stats.mode == "column"
-        assert stats.total_iterations == 12
-        assert stats.max_iterations == 5
-        assert stats.operator_traversals == 12
-
     def test_result_as_dict_round_trips_telemetry(self):
         import json
 
@@ -204,15 +209,13 @@ class TestIterativeStatsTelemetry:
         result = ExtractionResult(
             capacitance=np.eye(2),
             conductor_names=["a", "b"],
-            iterations=IterativeStats(
-                iterations_per_rhs=[7, 9], mode="blocked", operator_traversals=9
-            ),
+            iterations=IterativeStats(iterations_per_rhs=[7, 9], operator_traversals=9),
         )
         summary = json.loads(json.dumps(result.as_dict()))
         assert summary["total_iterations"] == 16
         assert summary["iterations_per_rhs"] == [7, 9]
         assert summary["max_iterations"] == 9
-        assert summary["solver_mode"] == "blocked"
+        assert "solver_mode" not in summary
         assert summary["operator_traversals"] == 9
 
 
