@@ -67,6 +67,11 @@ __all__ = ["ExtractionServer", "run_server"]
 
 _logger = get_logger("serve")
 
+#: How long shutdown waits for the handlers of the connections it closed
+#: before cancelling those still running (closing does not unblock a
+#: handler whose client stopped reading mid-response).
+_CLOSE_GRACE_SECONDS = 1.0
+
 #: Known routes; anything else is labelled "other" to bound metric cardinality.
 _ROUTES = ("/healthz", "/metrics", "/v1/backends", "/v1/stats", "/v1/extract", "/v1/batch")
 
@@ -127,7 +132,12 @@ class ExtractionServer:
             await self._server.serve_forever()
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain the shard queues, join the workers, close connections."""
+        """Stop accepting, drain the shard queues, join the workers, close connections.
+
+        A drain that outlasts ``drain_seconds`` answers the work it abandons
+        with an error; a handler still running ``_CLOSE_GRACE_SECONDS``
+        after its connection is closed is cancelled.
+        """
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -136,13 +146,17 @@ class ExtractionServer:
                 asyncio.gather(*(pool.drain() for pool in self.shards.values())),
                 timeout=self.config.drain_seconds or None,
             )
-        except asyncio.TimeoutError:  # pragma: no cover - needs a wedged backend
+        except asyncio.TimeoutError:
             pass
         # Close the connections still open (idle keep-alive ones included)
         # and let their handlers finish here, not be cancelled at loop exit.
         for writer in self._connections.values():
             writer.close()
-        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._connections:
+            _, stuck = await asyncio.wait(list(self._connections), timeout=_CLOSE_GRACE_SECONDS)
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
 

@@ -84,6 +84,17 @@ def _execute(service: ExtractionService, request: ExtractionRequest) -> dict:
     return payload
 
 
+def _failure(request: ExtractionRequest, error: str) -> dict:
+    """The payload of a request that produced no result."""
+    return {
+        "backend": request.backend,
+        "label": request.label,
+        "seconds": 0.0,
+        "result": None,
+        "error": error,
+    }
+
+
 class ShardPool:
     """Worker pool of one shard: queue in, resolved job futures out.
 
@@ -175,13 +186,7 @@ class ShardPool:
                             self._executor, propagate(_execute, self._service, job.request)
                         )
                     except Exception as exc:  # service contains backend errors; belt-and-braces
-                        payload = {
-                            "backend": job.request.backend,
-                            "label": job.request.label,
-                            "seconds": 0.0,
-                            "result": None,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
+                        payload = _failure(job.request, f"{type(exc).__name__}: {exc}")
             self._finish(job.fingerprint, payload)
 
     def _finish(self, fingerprint: str, payload: dict) -> None:
@@ -205,10 +210,19 @@ class ShardPool:
 
     # ------------------------------------------------------------------
     async def drain(self) -> None:
-        """Close the queue, finish accepted work, and join the workers."""
+        """Close the queue, finish accepted work, and join the workers.
+
+        A cancelled drain (the server's drain timeout) answers every job it
+        has not finished with an error, so no request waits on it forever.
+        """
         self.queue.close()
         if self._workers:
-            await asyncio.gather(*self._workers, return_exceptions=True)
+            try:
+                await asyncio.gather(*self._workers, return_exceptions=True)
+            except asyncio.CancelledError:
+                for fingerprint, waiters in list(self._inflight.items()):
+                    self._finish(fingerprint, _failure(waiters[0].request, "abandoned by server shutdown"))
+                raise
             self._workers = []
         self._executor.shutdown(wait=True)
 

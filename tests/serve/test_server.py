@@ -314,6 +314,51 @@ class TestGracefulShutdown:
         assert closed_by_server
         assert [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR] == []
 
+    def test_shutdown_returns_when_the_drain_times_out(self, tmp_path, caplog):
+        """A backend that never returns holds shutdown only for drain_seconds,
+        and the request it was serving is answered with an error."""
+        started, release = threading.Event(), threading.Event()
+
+        class _WedgedBackend:
+            name = "test-wedged"
+            description = "test backend that blocks until released"
+
+            def extract(self, layout, **options):
+                started.set()
+                release.wait()
+                raise RuntimeError("released")
+
+        register_backend(_WedgedBackend(), replace=True)
+
+        async def scenario():
+            server = ExtractionServer(_config(tmp_path, drain_seconds=0.2))
+            await server.start()
+            spec = {"generator": "crossing_wires", "backend": "test-wedged"}
+            inflight = asyncio.create_task(
+                request_json(server.config.host, server.port, "POST", "/v1/extract", spec)
+            )
+            while not started.is_set():
+                await asyncio.sleep(0.01)
+            handlers = list(server._connections)
+            begin = time.perf_counter()
+            await asyncio.wait_for(server.shutdown(), timeout=10.0)
+            elapsed = time.perf_counter() - begin
+            return await inflight, handlers, elapsed, server._connections
+
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                (status, body), handlers, elapsed, left_open = asyncio.run(scenario())
+        finally:
+            release.set()
+            unregister_backend("test-wedged")
+        assert status == 500
+        assert body["error"] == "abandoned by server shutdown"
+        assert len(handlers) == 1
+        assert all(task.done() for task in handlers)
+        assert left_open == {}
+        assert elapsed < 5.0
+        assert [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR] == []
+
     def test_health_reports_draining(self, tmp_path):
         async def scenario():
             server = ExtractionServer(_config(tmp_path))

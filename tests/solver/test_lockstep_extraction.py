@@ -47,3 +47,25 @@ def test_single_column_blocks_match_the_reference(generator, backend, options, t
     stats = result.iterations
     # One column per block: every iteration is a traversal of its own.
     assert stats.operator_traversals == stats.total_iterations
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the lockstep solve stops on the Jacobi-preconditioned residual, which "
+    "the previous restarted solver's true-residual stop did not; on this "
+    "loosely converged fastcap solve the two stop 3.0e-5 apart (tolerance 1e-5)",
+)
+def test_plate_over_ground_fastcap_one_column_blocks_match_the_reference():
+    from repro.workloads.registry import get_workload
+
+    workload = get_workload("plate_over_ground")
+    options = {**workload.options_for("fastcap"), "block_size": 1}
+    result = get_backend("fastcap").extract(workload.layout(), **options)
+    reference = np.array(
+        [
+            [8.16234803253924e-16, -3.35065669874724e-16],
+            [-3.35065669874724e-16, 3.7402350384233994e-16],
+        ]
+    )
+    error = np.max(np.abs(result.capacitance - reference)) / np.max(np.abs(reference))
+    assert error <= 1e-5
