@@ -37,7 +37,7 @@ from repro.greens.policy import ApproximationPolicy
 from repro.obs import clock
 from repro.obs.metrics import counter
 
-__all__ = ["ChunkResult", "BatchGalerkinAssembler", "symmetrize_upper"]
+__all__ = ["ChunkResult", "BatchGalerkinAssembler", "record_pair_counts", "symmetrize_upper"]
 
 _BATCHES = counter(
     "repro_assembly_pair_batches_total", "Numpy pair-batches evaluated by the batched assembler"
@@ -52,6 +52,14 @@ _PAIRS_EVALUATED = counter(
     "Template-pair integrals evaluated (one per distinct pair key), by kernel evaluation category",
     ("category",),
 )
+
+
+def record_pair_counts(requested: dict[str, int], evaluated: dict[str, int]) -> None:
+    """Add per-category requested pairs and evaluated integrals to the metrics."""
+    for metric, counts in ((_PAIRS, requested), (_PAIRS_EVALUATED, evaluated)):
+        for category, count in counts.items():
+            if count:
+                metric.inc(count, category=category)
 
 
 def symmetrize_upper(upper: np.ndarray) -> np.ndarray:
@@ -201,7 +209,9 @@ class BatchGalerkinAssembler:
 
         Returns the accumulated matrix and a :class:`ChunkResult` with the
         wall-clock time and the per-category requested and evaluated pair
-        counts of the chunk.
+        counts of the chunk.  Every chunk starts from an empty key table
+        (:meth:`~repro.greens.batched.BatchedKernelCore.clear_table`), so
+        its evaluated counts do not depend on what the core ran before.
         """
         if condense_mode not in ("full", "upper"):
             raise ValueError(f"condense_mode must be 'full' or 'upper', got {condense_mode!r}")
@@ -212,6 +222,7 @@ class BatchGalerkinAssembler:
             out = np.zeros((n, n))
         counts = dict.fromkeys(CATEGORIES, 0)
         evaluated = dict.fromkeys(CATEGORIES, 0)
+        self.core.clear_table()
         t_begin = clock.now()
         num_batches = 0
         for batch_start in range(start, stop, self.batch_size):
@@ -224,11 +235,7 @@ class BatchGalerkinAssembler:
             num_batches += 1
         elapsed = clock.now() - t_begin
         _BATCHES.inc(num_batches)
-        for category in CATEGORIES:
-            if counts[category]:
-                _PAIRS.inc(counts[category], category=category)
-            if evaluated[category]:
-                _PAIRS_EVALUATED.inc(evaluated[category], category=category)
+        record_pair_counts(counts, evaluated)
         return out, ChunkResult(
             start=start,
             stop=stop,
@@ -279,16 +286,28 @@ class BatchGalerkinAssembler:
         out: np.ndarray,
         condense_mode: str,
     ) -> None:
-        """Accumulate evaluated template pairs into the condensed matrix."""
+        """Accumulate evaluated template pairs into the condensed matrix.
+
+        One ``np.bincount`` over the flattened ``row * n + col`` indices,
+        whose first ``n * n`` weights are ``out`` itself: every bin starts
+        from its current value and then adds its pairs in request order,
+        the same sums in the same order as sequential ``np.add.at`` calls.
+        """
         arrays = self.arrays
+        n = out.shape[0]
         rows = arrays.owner[i]
         cols = arrays.owner[j]
         off_diagonal = i != j
         if condense_mode == "full":
-            np.add.at(out, (rows, cols), values)
-            np.add.at(out, (cols[off_diagonal], rows[off_diagonal]), values[off_diagonal])
+            flat = [rows * n + cols, cols[off_diagonal] * n + rows[off_diagonal]]
+            weights = [values, values[off_diagonal]]
         else:
             # Algorithm 1: off-diagonal template pairs condensing onto the
             # diagonal of P contribute twice.
-            doubled = np.where(off_diagonal & (rows == cols), 2.0 * values, values)
-            np.add.at(out, (rows, cols), doubled)
+            flat = [rows * n + cols]
+            weights = [np.where(off_diagonal & (rows == cols), 2.0 * values, values)]
+        out[...] = np.bincount(
+            np.concatenate([np.arange(n * n), *flat]),
+            weights=np.concatenate([out.ravel(), *weights]),
+            minlength=n * n,
+        ).reshape(n, n)

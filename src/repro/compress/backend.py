@@ -88,7 +88,10 @@ class GalerkinACABackend:
             ``use_numba=None``/``False`` are accepted (see
             :class:`~repro.compress.entries.GalerkinEntries`).
         gmres_tolerance, max_iterations:
-            Controls of the iterative solve.
+            Controls of the iterative solve.  GMRES stops on the
+            Jacobi-preconditioned residual, relative to the preconditioned
+            right-hand side; that residual bounds neither the true
+            residual nor the charge error.
         block_size:
             Conductor columns per lockstep GMRES block: ``None``
             (default) solves all right-hand sides in one block, ``1``

@@ -16,15 +16,21 @@ evaluation paths produce identical values (to round-off):
   template-pair index arrays and evaluates them through
   :meth:`~repro.assembly.batch.BatchGalerkinAssembler.evaluate_pairs`, the
   same numpy batch machinery the dense backends use.
+
+The oracle's kernel core keeps one key table for the oracle's whole life
+(see :mod:`repro.greens.batched`), so a key sampled by several calls -- the
+near field and the lockstep ACA steps of an H-matrix build, from one thread
+or several -- is evaluated once.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 import numpy as np
 
-from repro.assembly.batch import BatchGalerkinAssembler
+from repro.assembly.batch import BatchGalerkinAssembler, record_pair_counts
 from repro.basis.functions import BasisSet
 from repro.greens.policy import ApproximationPolicy
 
@@ -164,17 +170,30 @@ class GalerkinEntries:
         return self.block(rows, np.asarray([j]))[:, 0]
 
     # ------------------------------------------------------------------
-    def entry_values(self, entry_rows: np.ndarray, entry_cols: np.ndarray) -> np.ndarray:
-        """Entries ``P[entry_rows[e], entry_cols[e]]`` for parallel index lists."""
+    def entry_values(
+        self,
+        entry_rows: np.ndarray,
+        entry_cols: np.ndarray,
+        work: Counter[str] | None = None,
+    ) -> np.ndarray:
+        """Entries ``P[entry_rows[e], entry_cols[e]]`` for parallel index lists.
+
+        ``work`` counts the call's ``entries_sampled``, the template
+        ``pairs_requested`` from the kernel core and the ``keys_evaluated``
+        by it (the key table answers the rest).
+        """
         entry_rows = np.asarray(entry_rows, dtype=np.intp)
         entry_cols = np.asarray(entry_cols, dtype=np.intp)
         num_entries = entry_rows.size
         if num_entries == 0:
             return np.zeros(0)
         if not self.vectorized:
-            return np.asarray(
+            values = np.asarray(
                 [self.entry(int(i), int(j)) for i, j in zip(entry_rows, entry_cols)]
             )
+            if work is not None:
+                work.update(entries_sampled=num_entries)
+            return values
         # Each entry expands into tcount_r * tcount_c template pairs laid
         # out row-major.
         nr = self._tcount[entry_rows]
@@ -190,10 +209,19 @@ class GalerkinEntries:
         tj = self._tstart[entry_cols][entry_of_pair] + local % nc_of_pair
 
         # Canonical (min, max) template order — see :meth:`entry`.
+        requested: dict[str, int] = {}
         values = self.assembler.evaluate_pairs(
-            np.minimum(ti, tj), np.maximum(ti, tj)
+            np.minimum(ti, tj), np.maximum(ti, tj), counts=requested
         )
+        evaluated = self.assembler.core.last_evaluated()
+        record_pair_counts(requested, evaluated)
         out = np.zeros(num_entries)
         np.add.at(out, entry_of_pair, values)
         self._count(num_entries)
+        if work is not None:
+            work.update(
+                entries_sampled=num_entries,
+                pairs_requested=sum(requested.values()),
+                keys_evaluated=sum(evaluated.values()),
+            )
         return out

@@ -50,6 +50,7 @@ partition's wall-clock time measured inside its worker, and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,7 +321,7 @@ def build_hmatrix(
         executor=executor,
         num_workers=num_workers,
         unknowns=entries.num_unknowns,
-    ):
+    ) as build_span:
         blocks = _upper_blocks(entries, leaf_size, eta)
         parts = partition_range(len(blocks), num_workers)
 
@@ -348,17 +349,23 @@ def build_hmatrix(
         dense_blocks: list[DenseBlockEntry] = []
         lowrank_blocks: list[LowRankBlockEntry] = []
         worker_seconds: list[float] = []
-        for part_dense, part_lowrank, seconds, _ in partition_results:
+        work: Counter[str] = Counter()
+        for part_dense, part_lowrank, seconds, part_work in partition_results:
             dense_blocks.extend(part_dense)
             lowrank_blocks.extend(part_lowrank)
             worker_seconds.append(seconds)
+            work.update(part_work)
+        if build_span is not None:
+            build_span.attributes.update(
+                pairs_requested=work["pairs_requested"], keys_evaluated=work["keys_evaluated"]
+            )
 
     return HMatrix(
         size=entries.num_unknowns,
         dense_blocks=dense_blocks,
         lowrank_blocks=lowrank_blocks,
         worker_seconds=worker_seconds,
-        entries_sampled=sum(sampled for *_, sampled in partition_results),
+        entries_sampled=work["entries_sampled"],
     )
 
 
@@ -384,46 +391,52 @@ def _assemble_partition(
     part_blocks: list[Block],
     epsilon: float,
     max_rank: int,
-) -> tuple[list[DenseBlockEntry], list[LowRankBlockEntry], float, int]:
+) -> tuple[list[DenseBlockEntry], list[LowRankBlockEntry], float, Counter[str]]:
     """Assemble one worker's partition of the block list.
 
     Pure with respect to shared state (each call appends only to its own
-    lists), so partitions can run concurrently; the wall-clock time is
-    measured inside the worker and therefore reflects true concurrent
-    assembly under the thread/process executors.  Returns the blocks, that
-    time and the number of oracle entries the partition sampled.
+    lists; the oracle's key table only ever gains values that are pure
+    functions of their keys), so partitions can run concurrently; the
+    wall-clock time is measured inside the worker and therefore reflects
+    true concurrent assembly under the thread/process executors.  Returns
+    the blocks, that time and the partition's oracle work counts
+    (``entries_sampled``, ``pairs_requested``, ``keys_evaluated``; see
+    :meth:`GalerkinEntries.entry_values`).
     """
     t_begin = clock.now()
     dense_blocks: list[DenseBlockEntry] = []
     lowrank_blocks: list[LowRankBlockEntry] = []
+    work: Counter[str] = Counter()
     # All inadmissible blocks of the partition are evaluated through ONE
     # batched oracle call: the entries are elementwise independent, so
     # fusing the blocks is bit-identical to per-block assembly while
     # letting the kernel core amortise its per-call vectorisation setup
     # over the whole near field.
-    sampled = _assemble_dense_blocks(
-        entries, [b for b in part_blocks if not b.admissible], dense_blocks
+    _assemble_dense_blocks(
+        entries, [b for b in part_blocks if not b.admissible], dense_blocks, work
     )
-    sampled += _assemble_lowrank_blocks(
-        entries, [b for b in part_blocks if b.admissible], epsilon, max_rank, lowrank_blocks
+    _assemble_lowrank_blocks(
+        entries, [b for b in part_blocks if b.admissible], epsilon, max_rank, lowrank_blocks, work
     )
-    return dense_blocks, lowrank_blocks, clock.now() - t_begin, sampled
+    return dense_blocks, lowrank_blocks, clock.now() - t_begin, work
 
 
 def _assemble_dense_blocks(
     entries: GalerkinEntries,
     blocks: list[Block],
     dense_blocks: list[DenseBlockEntry],
-) -> int:
+    work: Counter[str],
+) -> None:
     """Assemble every near-field block of a partition in one oracle call.
 
     Off-diagonal (mirrored) blocks request their full ``rows x cols`` entry
     set; diagonal blocks are symmetric, so only the upper triangle is
     evaluated and mirrored (half the integral work, exactly like
-    :meth:`GalerkinEntries.symmetric_block`).  Returns the entries sampled.
+    :meth:`GalerkinEntries.symmetric_block`).  The oracle's work counts
+    accumulate in ``work``.
     """
     if not blocks:
-        return 0
+        return
     entry_rows: list[np.ndarray] = []
     entry_cols: list[np.ndarray] = []
     for block in blocks:
@@ -436,7 +449,9 @@ def _assemble_dense_blocks(
         else:
             entry_rows.append(np.repeat(rows, cols.size))
             entry_cols.append(np.tile(cols, rows.size))
-    values = entries.entry_values(np.concatenate(entry_rows), np.concatenate(entry_cols))
+    values = entries.entry_values(
+        np.concatenate(entry_rows), np.concatenate(entry_cols), work=work
+    )
     offset = 0
     for block, flat_rows in zip(blocks, entry_rows):
         rows = block.row.indices
@@ -454,7 +469,6 @@ def _assemble_dense_blocks(
         dense_blocks.append(
             DenseBlockEntry(rows=rows, cols=cols, values=dense, mirrored=mirrored)
         )
-    return int(values.size)
 
 
 def _assemble_lowrank_blocks(
@@ -463,7 +477,8 @@ def _assemble_lowrank_blocks(
     epsilon: float,
     max_rank: int,
     lowrank_blocks: list[LowRankBlockEntry],
-) -> int:
+    work: Counter[str],
+) -> None:
     """Compress every far-field block of a partition, all ACAs in lockstep.
 
     Each block runs its own :func:`~repro.compress.aca.aca_core`; every
@@ -471,9 +486,9 @@ def _assemble_lowrank_blocks(
     block and answers them all with ONE oracle call.  Entries are
     elementwise independent, so the factors are bit-identical to per-block
     ACA while the oracle calls drop from the sum of the blocks' sample
-    counts to the longest single run.  Returns the entries sampled.
+    counts to the longest single run.  The oracle's work counts accumulate
+    in ``work``.
     """
-    sampled = 0
     cores = [aca_core(block.shape, epsilon, max_rank) for block in blocks]
     requests = {b: next(core) for b, core in enumerate(cores)}
     factors: dict[int, LowRankFactors] = {}
@@ -489,8 +504,9 @@ def _assemble_lowrank_blocks(
             else:
                 entry_rows.append(rows)
                 entry_cols.append(np.full(rows.size, cols[index]))
-        values = entries.entry_values(np.concatenate(entry_rows), np.concatenate(entry_cols))
-        sampled += values.size
+        values = entries.entry_values(
+            np.concatenate(entry_rows), np.concatenate(entry_cols), work=work
+        )
         offset = 0
         pending = list(requests)
         requests = {}
@@ -510,7 +526,6 @@ def _assemble_lowrank_blocks(
                 mirrored=block.row is not block.col,
             )
         )
-    return sampled
 
 
 _Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]

@@ -33,7 +33,10 @@ tolerance, order_near, order_far, batch_size:
     Assembly accuracy/vectorisation knobs, as in
     :class:`~repro.core.config.ExtractionConfig`.
 gmres_tolerance, max_iterations:
-    Controls of the iterative solve.
+    Controls of the iterative solve.  GMRES stops on the
+    Jacobi-preconditioned residual, relative to the preconditioned
+    right-hand side; that residual bounds neither the true residual nor
+    the charge error.
 block_size:
     Conductor columns per lockstep GMRES block (``None`` = all in one
     block, ``1`` = one block per conductor).

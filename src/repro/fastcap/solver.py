@@ -41,7 +41,11 @@ class FastCapSolver:
     max_leaf_size:
         Cluster-tree leaf size.
     tolerance:
-        GMRES relative residual tolerance.
+        GMRES stopping tolerance on the Jacobi-preconditioned residual,
+        relative to the preconditioned right-hand side.  That residual
+        bounds neither the true residual nor the charge error: on
+        ``plate_over_ground`` the default ``1e-5`` lands 4.0e-5 from a
+        tight solve.
     block_size:
         Conductor columns per lockstep GMRES block (``None`` = all
         conductors iterate in one block sharing each near-field

@@ -12,7 +12,7 @@ hierarchical compression's entry oracle
 A few templates are instantiated over and over across a regular layout and
 the ``1/r`` kernel depends only on relative geometry, so most requested
 pairs repeat an integral already requested.  :meth:`evaluate_pairs`
-therefore runs four steps:
+therefore runs five steps:
 
 1. **Classify** every pair on its exact geometry, with the decisions of
    :class:`~repro.greens.galerkin.GalerkinIntegrator`: the evaluation
@@ -23,10 +23,27 @@ therefore runs four steps:
    panel's ``lo`` corner), the displacement ``lo_j - lo_i`` snapped to a
    quantum of ``1e-12`` times the smallest in-plane panel extent, and the
    decision bits of step 1.
-3. **Evaluate each distinct key once** in a canonical frame: the class of
+3. **Look up** the distinct keys of the call in the core's key table, which
+   holds every key the core has evaluated since the table was last
+   cleared (:meth:`BatchedKernelCore.clear_table`).
+4. **Evaluate each missing key once** in a canonical frame: the class of
    template ``i`` at the origin, the class of template ``j`` at the snapped
-   displacement, with the decisions read from the key.
-4. **Scatter** the distinct values back to the requested pairs.
+   displacement, with the decisions read from the key.  The new values are
+   merged into the table.
+5. **Scatter** the distinct values back to the requested pairs.
+
+The table spans calls, so an entry oracle that samples one matrix in many
+calls (the H-matrix build's near field and lockstep ACA steps) evaluates
+each key once per extraction rather than once per call.  It lives on the
+core: the compression oracle keeps one for its whole life (the threads of a
+thread executor share it), while the dense assembler clears it at the start
+of every chunk, so a partition is charged exactly the integrals it
+evaluates whatever ran before it on the same core.  The table is held in
+arrays -- sorted 64-bit hashes of the key rows, the full rows, and the
+values -- and a lookup only hits when the full row matches, so a hash
+collision costs an evaluation, never a wrong value.  New keys are queued
+and folded into the sorted arrays by the next lookup, so a table that is
+never read again costs no sort.
 
 Steps 1 and 2 are bookkeeping, so the core keeps them cheap with
 structure-of-arrays tables built once per core: the centroid, ``lo`` and
@@ -86,6 +103,7 @@ Agreement with the entry-wise ``template_pair`` reference is asserted to
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -134,11 +152,21 @@ _CODE_SHIFT = 3
 #: keys; the distinct-key count is flat for quanta from 1e-14 to 1e-8.
 _KEY_QUANTUM = 1e-12
 
+#: Columns of a key row: the two shape classes, the pair code and the
+#: three snapped displacement components.
+_KEY_COLUMNS = 6
+
 #: Distinct keys whose canonical frame is built and evaluated at once.
 _KEY_CHUNK = 16_384
 
 #: Bound of the mixed-radix row packing of :func:`_distinct_rows`.
 _PACK_LIMIT = 1 << 62
+
+#: A key row as one opaque element (its int64 columns side by side).
+_KEY_ROW = np.dtype((np.void, 8 * _KEY_COLUMNS))
+
+#: Multiplier of the key-row hash (the 64-bit golden-ratio constant).
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 #: Per-template flag word: has a profile, is a stock arch, and the normal
 #: axis in the bits from ``_AXIS_SHIFT`` up.
@@ -326,6 +354,96 @@ def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return first, inverse
 
 
+def _hash_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """A 64-bit hash of every row of equal-length int64 key columns.
+
+    Multiply-xorshift over the columns, wrapping in uint64; equal rows hash
+    equal in every call, which is all the key table needs (it checks the
+    full row on every hit).
+    """
+    hashes = np.zeros(columns[0].size, dtype=np.uint64)
+    for column in columns:
+        hashes ^= column.view(np.uint64)
+        hashes *= _HASH_MULTIPLIER
+        hashes ^= hashes >> np.uint64(29)
+    return hashes
+
+
+def _key_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows of key columns, each row one opaque :data:`_KEY_ROW` element.
+
+    The table then moves and compares a whole key at once.
+    """
+    return np.column_stack(columns).view(_KEY_ROW).ravel()
+
+
+class _KeyTable:
+    """Values of the keys a core has evaluated, in sorted arrays.
+
+    The state is one ``(hashes, rows, values)`` tuple sorted by hash,
+    replaced whole when new keys are folded in, so a lookup reads a
+    consistent snapshot without the lock.  :meth:`merge` only queues the
+    new keys; the next lookup folds the queue into the sorted arrays.  A
+    table whose keys are never looked up again (a dense chunk evaluated in
+    one call) thus never pays for the sort.  Merges and folds from
+    concurrent threads serialise on the lock, and a key that another
+    thread folded in meanwhile is dropped rather than stored twice.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._state = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=_KEY_ROW), np.empty(0))
+        self._queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def lookup(self, hashes: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(hit, values)``: which rows the table holds, and their values."""
+        if self._queue:
+            self._fold()
+        table_hashes, table_rows, table_values = self._state
+        if table_hashes.size == 0:
+            return np.zeros(hashes.size, dtype=bool), np.empty(0)
+        position = np.minimum(np.searchsorted(table_hashes, hashes), table_hashes.size - 1)
+        hit = table_hashes[position] == hashes
+        hit[hit] = table_rows[position[hit]] == rows[hit]
+        return hit, table_values[position[hit]]
+
+    def merge(self, hashes: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+        """Queue evaluated rows for the next lookup to fold in."""
+        if hashes.size:
+            with self._lock:
+                self._queue.append((hashes, rows, values))
+
+    def _fold(self) -> None:
+        """Insert the queued rows whose hash the table does not hold yet.
+
+        A row whose hash is already present (evaluated by another thread
+        too, or a collision with a different row) is left out; it will
+        simply be evaluated again when requested.
+        """
+        with self._lock:
+            if not self._queue:
+                return
+            hashes, rows, values = (np.concatenate(part) for part in zip(*self._queue))
+            self._queue = []
+            hashes, first = np.unique(hashes, return_index=True)
+            table_hashes, table_rows, table_values = self._state
+            position = np.searchsorted(table_hashes, hashes)
+            held = np.zeros(hashes.size, dtype=bool)
+            inside = position < table_hashes.size
+            held[inside] = table_hashes[position[inside]] == hashes[inside]
+            new = first[~held]
+            position = position[~held]
+            self._state = (
+                np.insert(table_hashes, position, hashes[~held]),
+                np.insert(table_rows, position, rows[new]),
+                np.insert(table_values, position, values[new]),
+            )
+
+    def __len__(self) -> int:
+        self._fold()
+        return int(self._state[0].size)
+
+
 class BatchedKernelCore:
     """Vectorised Galerkin template-pair kernel over template arrays.
 
@@ -381,6 +499,9 @@ class BatchedKernelCore:
             + (arrays.normal_axis << _AXIS_SHIFT)
         ).astype(np.uint8)
         self._build_key_tables()
+        self.clear_table()
+        # What the calling thread's last evaluate_pairs call evaluated.
+        self._last_call = threading.local()
         # The per-pair reference integrator backs templates whose profile is
         # not a stock arch (the ShapeProfile protocol admits arbitrary
         # shapes); it shares every numerical choice with the batched paths.
@@ -454,9 +575,42 @@ class BatchedKernelCore:
         self._shape_class = shape_class.ravel().astype(np.int64)
         self._shape_template = representative.astype(np.int64)
 
+    def clear_table(self) -> None:
+        """Start a new, empty key table: later calls evaluate every key anew."""
+        self._table = _KeyTable()
+
+    @property
+    def table_size(self) -> int:
+        """Number of keys the key table holds."""
+        return len(self._table)
+
+    def last_evaluated(self) -> dict[str, int]:
+        """Integrals evaluated by the calling thread's last :meth:`evaluate_pairs`.
+
+        Per evaluation category, like the ``evaluated`` argument; for
+        callers that reach the core through a wrapper which passes on only
+        ``(i, j, counts)``.
+        """
+        return dict(getattr(self._last_call, "evaluated", {}))
+
     def _snap(self, lengths: np.ndarray) -> np.ndarray:
         """Lengths in whole quanta (int64)."""
         return np.rint(lengths / self.quantum).astype(np.int64)
+
+    def _key_columns(self, i: np.ndarray, j: np.ndarray, code: np.ndarray) -> list[np.ndarray]:
+        """The :data:`_KEY_COLUMNS` int64 key columns of pairs ``(i[p], j[p])``.
+
+        Exact-geometry pairs stand in for themselves: template indices past
+        the class numbers replace their shape classes.
+        """
+        exact = (code & _EXACT).astype(bool)
+        offset = self._shape_template.size
+        return [
+            np.where(exact, offset + i, self._shape_class[i]),
+            np.where(exact, offset + j, self._shape_class[j]),
+            code,
+            *self._displacement(i, j),
+        ]
 
     def _displacement(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
         """Snapped displacement ``lo_j - lo_i`` of every pair, one array per axis."""
@@ -489,11 +643,13 @@ class BatchedKernelCore:
 
         ``counts`` accumulates the *requested* pairs per evaluation
         category, ``evaluated`` the integrals actually evaluated (one per
-        distinct key, plus every per-pair fallback).
+        distinct key the key table does not hold yet, plus every per-pair
+        fallback).
         """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         values = np.empty(i.size)
+        self._last_call.evaluated = {}
         if i.size == 0:
             return values
 
@@ -509,33 +665,51 @@ class BatchedKernelCore:
             i, j, code = i[keyed], j[keyed], code[keyed]
         del category
 
-        distinct = np.zeros(_FALLBACK, dtype=np.int64)
+        evaluated_keys = np.zeros(_FALLBACK, dtype=np.int64)
         if code.size:
-            # Exact-geometry pairs stand in for themselves: template indices
-            # past the class numbers replace their shape classes.
-            exact = (code & _EXACT).astype(bool)
-            first, inverse = _distinct_rows(
-                [
-                    np.where(exact, self._shape_template.size + i, self._shape_class[i]),
-                    np.where(exact, self._shape_template.size + j, self._shape_class[j]),
-                    code,
-                    *self._displacement(i, j),
-                ]
-            )
-            del exact
+            first, inverse = _distinct_rows(self._key_columns(i, j, code))
             i, j, code = i[first], j[first], code[first]
             del first
-            distinct_values = self._evaluate_distinct(i, j, code)
-            distinct = np.bincount(code >> _CODE_SHIFT, minlength=_FALLBACK)
+            distinct_values, evaluated_keys = self._lookup_or_evaluate(i, j, code)
             values[keyed] = distinct_values[inverse]
 
-        for target, amounts in ((counts, requested), (evaluated, distinct)):
+        last: dict[str, int] = {}
+        for target, amounts in ((counts, requested), (evaluated, evaluated_keys), (last, evaluated_keys)):
             if target is None:
                 continue
             for index, category_name in enumerate(CATEGORIES):
                 _count(target, category_name, int(amounts[index]))
             _count(target, "profiled", int(fallback.size))
+        self._last_call.evaluated = last
         return values
+
+    def _lookup_or_evaluate(
+        self, i: np.ndarray, j: np.ndarray, code: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the distinct keys of pairs ``(i[k], j[k])``.
+
+        Keys the key table holds are read from it; the rest are evaluated
+        and merged into it.  The key rows are rebuilt for the merge rather
+        than kept alive through the evaluation, which holds the peak memory
+        of a call where it was without the table.  Returns the values and
+        the per-category count of keys evaluated.
+        """
+        table = self._table
+        columns = self._key_columns(i, j, code)
+        hashes = _hash_rows(columns)
+        hit, known = table.lookup(hashes, _key_rows(columns))
+        del columns
+        if known.size:
+            values = np.empty(i.size)
+            values[hit] = known
+            missing = np.flatnonzero(~hit)
+            i, j, code, hashes = i[missing], j[missing], code[missing], hashes[missing]
+            fresh = self._evaluate_distinct(i, j, code)
+            values[missing] = fresh
+        else:  # nothing held (a first call): no copies of the keys
+            values = fresh = self._evaluate_distinct(i, j, code)
+        table.merge(hashes, _key_rows(self._key_columns(i, j, code)), fresh)
+        return values, np.bincount(code >> _CODE_SHIFT, minlength=_FALLBACK)
 
     # ------------------------------------------------------------------
     # Classification and keying

@@ -15,13 +15,20 @@ instead of paying one per column — the number of operator *traversals*
 drops from ``sum_j iterations_j`` (``block_size=1``) to
 ``max_j iterations_j`` (one block).
 
+The Arnoldi bookkeeping runs in the same sweep: the block's state is held
+as arrays over its active columns, and each iteration orthogonalises
+(classical Gram-Schmidt, twice), rotates and updates the residual
+estimates of all of them in a fixed number of array operations rather than
+a Python loop per column and basis vector.
+
 Every solve uses the Jacobi (diagonal-scaling) left preconditioner built by
-:func:`jacobi_preconditioner`.
+:func:`jacobi_preconditioner`.  The stopping test reads the preconditioned
+residual, which bounds neither the true residual nor the error of the
+solution.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -211,11 +218,22 @@ def _blocked_gmres(
     Hessenberg matrix (kept upper-triangular through Givens rotations) and
     residual estimate, so a column that converges simply leaves the block.
 
+    The state of the active columns is held in arrays whose leading axis
+    runs over them: ``basis[c, i]`` is Krylov vector ``i`` of column ``c``;
+    ``triangular[m]`` holds column ``m`` of every column's rotated
+    Hessenberg matrix; ``rotations[c]`` is the product of column ``c``'s
+    Givens rotations so far, so its rotated residual vector is
+    ``beta[c] * rotations[c, :, 0]``.  An iteration is then a fixed number
+    of array operations over the whole block: classical Gram-Schmidt run
+    twice (CGS2) as batched products, one product with the accumulated
+    rotations, and the new rotation.  When columns converge, every array
+    keeps only the columns still active.
+
     Returns ``(solution, iterations_per_column, operator_traversals)``.
     """
     n, k = block_rhs.shape
     solution = np.zeros((n, k))
-    iterations = [0] * k
+    iterations = np.zeros(k, dtype=int)
 
     def precondition(block: np.ndarray) -> np.ndarray:
         if inverse_diagonal is None:
@@ -224,89 +242,105 @@ def _blocked_gmres(
 
     residual0 = precondition(block_rhs)
     beta = np.linalg.norm(residual0, axis=0)
+    # A zero right-hand side is solved by the zero vector at no cost.
+    active = np.flatnonzero(beta > 0.0)
+    beta = beta[active]
     targets = tolerance * beta
 
-    # Per-column Arnoldi state: basis vectors, rotated Hessenberg columns,
-    # Givens rotations and the rotated residual vector g.
-    basis: list[list[np.ndarray]] = [[] for _ in range(k)]
-    hessenberg: list[list[np.ndarray]] = [[] for _ in range(k)]
-    givens: list[list[tuple[float, float]]] = [[] for _ in range(k)]
-    g: list[list[float]] = [[] for _ in range(k)]
-
-    active: list[int] = []
-    for j in range(k):
-        if beta[j] > 0.0:
-            basis[j].append(residual0[:, j] / beta[j])
-            g[j].append(float(beta[j]))
-            active.append(j)
-        # A zero right-hand side is solved by the zero vector at no cost.
+    # Capacity for the Krylov vectors, doubled whenever it runs out.
+    basis = np.empty((active.size, min(max_iterations, 32) + 1, n))
+    basis[:, 0] = (residual0[:, active] / beta).T
+    triangular: list[np.ndarray] = []
+    rotations = np.ones((active.size, 1, 1))
 
     traversals = 0
     for m in range(max_iterations):
-        if not active:
+        if not active.size:
             break
-        block = np.column_stack([basis[j][m] for j in active])
-        applied = precondition(np.asarray(matmat(block), dtype=float))
-        if applied.shape != (n, len(active)):
+        applied = precondition(
+            np.asarray(matmat(np.ascontiguousarray(basis[:, m].T)), dtype=float)
+        )
+        if applied.shape != (n, active.size):
             raise ValueError(
-                f"matmat returned shape {applied.shape}, expected {(n, len(active))}"
+                f"matmat returned shape {applied.shape}, expected {(n, active.size)}"
             )
         traversals += 1
-        still_active: list[int] = []
-        for position, j in enumerate(active):
-            w = applied[:, position].copy()
-            applied_norm = float(np.linalg.norm(w))
-            # Modified Gram-Schmidt against the column's basis.
-            h = np.empty(m + 2)
-            for i, v in enumerate(basis[j]):
-                h[i] = float(v @ w)
-                w -= h[i] * v
-            w_norm = float(np.linalg.norm(w))
-            h[m + 1] = w_norm
-            # Previous rotations keep the Hessenberg column triangular.
-            for i, (c, s) in enumerate(givens[j]):
-                h[i], h[i + 1] = c * h[i] + s * h[i + 1], -s * h[i] + c * h[i + 1]
-            denom = math.hypot(h[m], h[m + 1])
-            c, s = (1.0, 0.0) if denom == 0.0 else (h[m] / denom, h[m + 1] / denom)
-            givens[j].append((c, s))
-            h[m], h[m + 1] = denom, 0.0
-            hessenberg[j].append(h)
-            g[j].append(-s * g[j][m])
-            g[j][m] = c * g[j][m]
-            iterations[j] = m + 1
+        w = np.ascontiguousarray(applied.T)
+        applied_norm = np.linalg.norm(w, axis=1)
+        # Classical Gram-Schmidt against each column's basis, twice.
+        krylov = basis[:, : m + 1]
+        h = np.zeros((active.size, m + 1))
+        for _ in range(2):
+            projection = (krylov @ w[:, :, None])[:, :, 0]
+            w -= (projection[:, None, :] @ krylov)[:, 0, :]
+            h += projection
+        w_norm = np.linalg.norm(w, axis=1)
+        # Previous rotations keep the Hessenberg columns triangular; the
+        # new one zeroes the subdiagonal entry ``w_norm``.
+        h = np.einsum("cij,cj->ci", rotations, h)
+        denom = np.hypot(h[:, m], w_norm)
+        nonzero = denom != 0.0
+        scale = np.where(nonzero, denom, 1.0)
+        c = np.where(nonzero, h[:, m] / scale, 1.0)[:, None]
+        s = np.where(nonzero, w_norm / scale, 0.0)[:, None]
+        h[:, m] = denom
+        triangular.append(h)
+        grown = np.zeros((active.size, m + 2, m + 2))
+        grown[:, : m + 1, : m + 1] = rotations
+        grown[:, m + 1, m + 1] = 1.0
+        upper, lower = grown[:, m].copy(), grown[:, m + 1].copy()
+        grown[:, m] = c * upper + s * lower
+        grown[:, m + 1] = -s * upper + c * lower
+        rotations = grown
+        iterations[active] = m + 1
 
-            happy_breakdown = w_norm <= np.finfo(float).eps * applied_norm
-            if abs(g[j][m + 1]) <= targets[j] or happy_breakdown:
-                solution[:, j] = _assemble_solution(basis[j], hessenberg[j], g[j])
-            else:
-                basis[j].append(w / w_norm)
-                still_active.append(j)
-        active = still_active
+        happy_breakdown = w_norm <= np.finfo(float).eps * applied_norm
+        converged = (np.abs(beta * rotations[:, m + 1, 0]) <= targets) | happy_breakdown
+        if converged.any():
+            for position in np.flatnonzero(converged):
+                solution[:, active[position]] = _assemble_solution(
+                    krylov[position],
+                    [column[position] for column in triangular],
+                    beta[position] * rotations[position, :, 0],
+                )
+            keep = ~converged
+            active, beta, targets = active[keep], beta[keep], targets[keep]
+            w, w_norm = w[keep], w_norm[keep]
+            basis, rotations = basis[keep], rotations[keep]
+            triangular = [column[keep] for column in triangular]
+        if active.size:
+            if m + 1 == basis.shape[1]:
+                basis = np.concatenate([basis, np.empty_like(basis)], axis=1)
+            basis[:, m + 1] = w / w_norm[:, None]
 
-    if active:
+    if active.size:
         residuals = ", ".join(
-            f"rhs {rhs_offset + j}: |r|={abs(g[j][iterations[j]]):.3e}" for j in active
+            f"rhs {rhs_offset + j}: |r|={abs(r):.3e}"
+            for j, r in zip(active, beta * rotations[:, -1, 0])
         )
         raise RuntimeError(
             f"GMRES did not converge within {max_iterations} iterations "
             f"({residuals})"
         )
-    return solution, iterations, traversals
+    return solution, iterations.tolist(), traversals
 
 
 def _assemble_solution(
-    basis: list[np.ndarray],
-    hessenberg: list[np.ndarray],
-    g: list[float],
+    krylov: np.ndarray, triangular: list[np.ndarray], g: np.ndarray
 ) -> np.ndarray:
-    """Back-substitute the rotated least-squares system and expand in the basis."""
-    m = len(hessenberg)
+    """Back-substitute one column's rotated least-squares system and expand it.
+
+    ``krylov`` holds the column's Krylov vectors as rows, ``triangular``
+    the columns of its rotated Hessenberg matrix and ``g`` its rotated
+    residual vector.
+    """
+    m = len(triangular)
+    upper = np.zeros((m, m))
+    for col, h in enumerate(triangular):
+        upper[: col + 1, col] = h
     y = np.zeros(m)
     for i in range(m - 1, -1, -1):
-        accumulated = g[i] - sum(hessenberg[col][i] * y[col] for col in range(i + 1, m))
-        diagonal = hessenberg[i][i]
+        accumulated = g[i] - upper[i, i + 1 :] @ y[i + 1 :]
+        diagonal = upper[i, i]
         y[i] = accumulated / diagonal if diagonal != 0.0 else 0.0
-    x = np.zeros_like(basis[0])
-    for i in range(m):
-        x += y[i] * basis[i]
-    return x
+    return y @ krylov[:m]

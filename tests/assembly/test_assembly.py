@@ -20,6 +20,7 @@ from repro.assembly import (
 )
 from repro.assembly.batch import symmetrize_upper
 from repro.basis import build_basis_set
+from repro.geometry import generators
 
 
 class TestTriangularMapping:
@@ -159,6 +160,37 @@ class TestAssemblerEquivalence:
         reference = BatchGalerkinAssembler(basis_set, permittivity).assemble()
         small_batches = BatchGalerkinAssembler(basis_set, permittivity, batch_size=17).assemble()
         assert np.allclose(reference, small_batches, rtol=1e-12)
+
+    @pytest.mark.parametrize("condense_mode", ["full", "upper"])
+    def test_condensation_adds_like_sequential_add_at(self, permittivity, condense_mode):
+        """Each bin starts from ``out`` and adds its pairs in request order."""
+        basis_set = build_basis_set(generators.bus_crossing(2, 2))
+        assembler = BatchGalerkinAssembler(basis_set, permittivity)
+        i, j = triangular_index_to_pair(np.arange(assembler.num_pairs))
+        values = assembler.evaluate_pairs(i, j)
+        n = assembler.num_basis_functions
+        start = np.random.default_rng(0).normal(size=(n, n))
+        rows, cols = assembler.arrays.owner[i], assembler.arrays.owner[j]
+        off = i != j
+        expected = start.copy()
+        if condense_mode == "full":
+            np.add.at(expected, (rows, cols), values)
+            np.add.at(expected, (cols[off], rows[off]), values[off])
+        else:
+            np.add.at(expected, (rows, cols), np.where(off & (rows == cols), 2 * values, values))
+        out = start.copy()
+        assembler._condense(i, j, values, out, condense_mode)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_every_chunk_starts_from_an_empty_key_table(self, crossing_layout, permittivity):
+        """A chunk's evaluated counts do not depend on what ran before it."""
+        assembler = BatchGalerkinAssembler(build_basis_set(crossing_layout), permittivity)
+        half = assembler.num_pairs // 2
+        _, alone = assembler.assemble_chunk(half, assembler.num_pairs)
+        assembler.assemble_chunk(0, assembler.num_pairs)
+        _, after = assembler.assemble_chunk(half, assembler.num_pairs)
+        assert after.evaluated_counts == alone.evaluated_counts
+        assert after.num_evaluated > 0
 
 
 class TestParallelBackends:

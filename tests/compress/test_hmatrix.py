@@ -286,9 +286,9 @@ class TestLockstepACA:
         calls = []
         entry_values = entries.entry_values
 
-        def counted(entry_rows, entry_cols):
+        def counted(entry_rows, entry_cols, **kwargs):
             calls.append(len(entry_rows))
-            return entry_values(entry_rows, entry_cols)
+            return entry_values(entry_rows, entry_cols, **kwargs)
 
         monkeypatch.setattr(entries, "entry_values", counted)
         build_hmatrix(

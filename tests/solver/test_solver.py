@@ -200,6 +200,53 @@ class TestBlockedGMRES:
             )
 
 
+class TestLockstepEdgeCases:
+    """Cases where the columns of one block part ways.
+
+    The pinned iteration counts are those of the per-column loop the
+    lockstep sweep replaced; each solve must also match the direct solve.
+    """
+
+    @staticmethod
+    def _solve(matrix, rhs, block_size, **options):
+        solution, stats = gmres_solve(
+            lambda x: matrix @ x, rhs, size=matrix.shape[0], tolerance=1e-12,
+            matmat=lambda block: matrix @ block, block_size=block_size, **options,
+        )
+        direct = np.linalg.solve(matrix, rhs)
+        assert np.max(np.abs(solution - direct)) <= 1e-12 * np.max(np.abs(direct))
+        return solution, stats
+
+    @pytest.mark.parametrize("block_size", [1, None])
+    def test_zero_column_inside_a_block(self, block_size):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(20, 20))
+        matrix = a @ a.T + 20 * np.eye(20)
+        rhs = rng.normal(size=(20, 3))
+        rhs[:, 1] = 0.0
+        solution, stats = self._solve(matrix, rhs, block_size, diagonal=np.diag(matrix))
+        assert np.all(solution[:, 1] == 0.0)
+        assert stats.iterations_per_rhs == [19, 0, 19]
+
+    @pytest.mark.parametrize("block_size", [1, None])
+    def test_identity_breaks_down_happily_after_one_iteration(self, block_size):
+        rhs = np.random.default_rng(3).normal(size=(8, 2))
+        solution, stats = self._solve(np.eye(8), rhs, block_size)
+        assert stats.iterations_per_rhs == [1, 1]
+        assert stats.operator_traversals == (2 if block_size == 1 else 1)
+
+    @pytest.mark.parametrize("block_size", [1, None])
+    def test_columns_converge_at_different_iterations(self, block_size):
+        # A right-hand side spanning p eigenvectors converges in p iterations.
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+        matrix = (q * np.arange(1.0, 13.0)) @ q.T
+        rhs = np.column_stack([q[:, :p].sum(axis=1) for p in (1, 3, 12, 5)])
+        _, stats = self._solve(matrix, rhs, block_size)
+        assert stats.iterations_per_rhs == [1, 3, 12, 5]
+        assert stats.operator_traversals == (21 if block_size == 1 else 12)
+
+
 class TestIterativeStatsTelemetry:
     def test_result_as_dict_round_trips_telemetry(self):
         import json
