@@ -5,9 +5,10 @@ plus :func:`~repro.compress.hmatrix.build_hmatrix` options and runs the one
 Galerkin pipeline, :func:`~repro.core.engine.extract_galerkin`.  The
 pipeline instantiates the paper's basis set, compresses the condensed
 Galerkin matrix into an :class:`~repro.compress.hmatrix.HMatrix` (dense near
-field, ACA low-rank far field — never materialising ``N x N``; block
-assembly runs on the parallel executor selected by
-``num_workers``/``executor``), and solves with the Jacobi-preconditioned
+field, ACA low-rank far field — never materialising ``N x N``; the workers
+selected by ``num_workers``/``executor`` evaluate slices of the kernel keys
+each large oracle call misses, and every key is evaluated once per build),
+and solves with the Jacobi-preconditioned
 lockstep GMRES shared by every iterative backend, where every stored block
 is traversed once per iteration of a column block instead of once per
 conductor.  The returned result
@@ -70,11 +71,11 @@ class GalerkinACABackend:
             Admissibility parameter; larger admits more (coarser) far
             blocks.
         num_workers:
-            Partitions of the block-assembly work, each assembled by one
-            worker of ``executor`` (per-worker times are recorded in the
-            result metadata).
+            Workers that evaluate slices of the missing kernel keys of the
+            build's large oracle calls (per-worker busy times are recorded
+            in the result metadata).
         executor:
-            Block-assembly executor: ``"serial"``, ``"thread"`` (default)
+            Executor of those workers: ``"serial"``, ``"thread"`` (default)
             or ``"process"`` — see :func:`repro.compress.hmatrix.build_hmatrix`.
             The operator is bit-identical across executors.
         face_refinement:

@@ -20,13 +20,23 @@ the H-matrix generalisation of the Barnes-Hut ratio test used by
 ``(r_t + r_s) / distance < theta``, i.e. cluster size small relative to the
 separation).  Larger ``eta`` admits more blocks (better compression, larger
 low-rank truncation error at fixed rank); ``eta`` of 1-3 is customary.
+
+The recursion runs level by level over arrays of cluster pairs: every
+candidate pair of a level gets its box gap, distance and test at once, with
+the arithmetic of :meth:`ClusterNode.distance_to` and
+:attr:`ClusterNode.diameter` (see :func:`~repro.compress.cluster.box_norms`),
+so no decision moves by a bit.  Every pair remembers its path of child
+ranks, and the blocks are emitted in the depth-first order of the
+recursion, row children outermost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compress.cluster import ClusterNode, ClusterTree
+import numpy as np
+
+from repro.compress.cluster import ClusterNode, ClusterTree, box_norms
 
 __all__ = ["Block", "BlockClusterTree"]
 
@@ -68,31 +78,65 @@ class BlockClusterTree:
         self.row_tree = row_tree
         self.col_tree = col_tree
         self.eta = float(eta)
-        self.blocks: list[Block] = []
-        self._partition(row_tree.root, col_tree.root)
+        #: Row and column node numbers and admissibility of every block,
+        #: in the order of :attr:`blocks`.
+        self.row_ids, self.col_ids, self.admissible = self._partition()
+        self.blocks = [
+            Block(row=row_tree.nodes[r], col=col_tree.nodes[c], admissible=bool(a))
+            for r, c, a in zip(self.row_ids.tolist(), self.col_ids.tolist(), self.admissible)
+        ]
 
     # ------------------------------------------------------------------
-    def is_admissible(self, row: ClusterNode, col: ClusterNode) -> bool:
-        """The strong admissibility test ``min(diam) <= eta * dist``."""
-        distance = row.distance_to(col)
-        if distance <= 0.0:
-            return False
-        return min(row.diameter, col.diameter) <= self.eta * distance
+    def _partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The leaf blocks of the recursion from ``(root, root)``, depth first.
 
-    def _partition(self, row: ClusterNode, col: ClusterNode) -> None:
-        if self.is_admissible(row, col):
-            self.blocks.append(Block(row=row, col=col, admissible=True))
-            return
-        if row.is_leaf and col.is_leaf:
-            self.blocks.append(Block(row=row, col=col, admissible=False))
-            return
-        # Split the cluster(s) that still have children; when both do, split
-        # both so block aspect ratios stay bounded.
-        rows = row.children if not row.is_leaf else [row]
-        cols = col.children if not col.is_leaf else [col]
-        for r in rows:
-            for c in cols:
-                self._partition(r, c)
+        A pair that is admissible, or whose clusters are both leaves, is a
+        block; otherwise the cluster(s) that still have children are split
+        (both when both do, so block aspect ratios stay bounded) and the
+        child pairs go to the next level.
+        """
+        rt, ct = self.row_tree, self.col_tree
+        rows = np.zeros(1, dtype=np.intp)
+        cols = np.zeros(1, dtype=np.intp)
+        paths = np.zeros((1, 1), dtype=np.intp)
+        found: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        while rows.size:
+            gap = np.maximum(
+                0.0, np.maximum(rt.box_lo[rows] - ct.box_hi[cols], ct.box_lo[cols] - rt.box_hi[rows])
+            )
+            distance = box_norms(gap)
+            admissible = (distance > 0.0) & (
+                np.minimum(rt.diameters[rows], ct.diameters[cols]) <= self.eta * distance
+            )
+            row_children = rt.child_ids[rows]
+            col_children = ct.child_ids[cols]
+            row_leaf = row_children[:, 0] < 0
+            col_leaf = col_children[:, 0] < 0
+            final = admissible | (row_leaf & col_leaf)
+            found.append((rows[final], cols[final], admissible[final], paths[final]))
+
+            split = ~final
+            row_options = np.where(row_leaf[split, None], rows[split, None], row_children[split])
+            col_options = np.where(col_leaf[split, None], cols[split, None], col_children[split])
+            row_count = np.where(row_leaf[split], 1, 2)
+            col_count = np.where(col_leaf[split], 1, 2)
+            count = row_count * col_count
+            parent = np.repeat(np.arange(count.size), count)
+            rank = np.arange(parent.size) - (np.cumsum(count) - count)[parent]
+            rows = row_options[parent, rank // col_count[parent]]
+            cols = col_options[parent, rank % col_count[parent]]
+            paths = np.column_stack([paths[split][parent], rank])
+        depth = max(found_paths.shape[1] for *_, found_paths in found)
+        padded = np.concatenate(
+            [np.pad(found_paths, ((0, 0), (0, depth - found_paths.shape[1]))) for *_, found_paths in found]
+        )
+        # No block's path is a prefix of another's, so the lexicographic
+        # order of the padded paths is the depth-first order.
+        order = np.lexsort(padded.T[::-1])
+        row_ids, col_ids, admissible = (
+            np.concatenate([part[field] for part in found])[order] for field in range(3)
+        )
+        return row_ids, col_ids, admissible
 
     # ------------------------------------------------------------------
     @property

@@ -11,8 +11,13 @@ what "geometry-adaptive" buys over the fixed octant subdivision of
 works for *any* panel set (templates of the instantiable basis, PWC panels,
 arbitrary point supports), not just the collocation path.
 
-Cluster diameters and box-to-box distances feed the admissibility test of
-:mod:`repro.compress.blocktree`.
+The tree is built level by level over arrays: every cluster of a level is
+a contiguous segment of one permutation of the unknowns, its box is a
+segmented min/max reduction and its split a segmented stable sort.  The
+nodes are numbered in level order, and :attr:`ClusterTree.box_lo`,
+:attr:`~ClusterTree.box_hi`, :attr:`~ClusterTree.diameters` and
+:attr:`~ClusterTree.child_ids` hold their geometry as arrays, which feed the
+array admissibility test of :mod:`repro.compress.blocktree`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,20 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["ClusterNode", "ClusterTree"]
+__all__ = ["ClusterNode", "ClusterTree", "box_norms"]
+
+
+def box_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an ``(n, 3)`` array.
+
+    Bit-identical to ``np.linalg.norm`` of each row on its own, which
+    squares a 1-D vector through the BLAS dot: a stacked ``(1 x 3) @
+    (3 x 1)`` product runs that same dot once per row.  (A sum of squares
+    in NumPy rounds differently in about one row in ten, which could move
+    an admissibility decision that sits on its threshold.)
+    """
+    rows = np.ascontiguousarray(vectors, dtype=float)
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
 
 
 @dataclass
@@ -83,29 +101,64 @@ class ClusterTree:
         self.hi = hi
         self.leaf_size = int(leaf_size)
         self.centers = 0.5 * (lo + hi)
-        self.root = self._build(np.arange(lo.shape[0], dtype=np.intp))
+        #: Every node, numbered in level order (the root is node 0).
+        self.nodes: list[ClusterNode] = []
+        self._build()
+        self.root = self.nodes[0]
         self.leaves = [node for node in self.iter_nodes() if node.is_leaf]
 
     # ------------------------------------------------------------------
-    def _build(self, indices: np.ndarray) -> ClusterNode:
-        node = ClusterNode(
-            indices=indices,
-            lo=self.lo[indices].min(axis=0),
-            hi=self.hi[indices].max(axis=0),
-        )
-        if indices.size <= self.leaf_size:
-            return node
-        axis = int(np.argmax(node.hi - node.lo))
-        coords = self.centers[indices, axis]
-        order = np.argsort(coords, kind="stable")
-        # The median split always produces two non-empty halves (size >= 2
-        # here), so the recursion terminates even for coincident centres.
-        half = indices.size // 2
-        node.children = [
-            self._build(indices[order[:half]]),
-            self._build(indices[order[half:]]),
-        ]
-        return node
+    def _build(self) -> None:
+        """Build the tree level by level over segments of one permutation.
+
+        A node's box is the min/max over its unknowns; a node above the
+        leaf size splits at the median of its support centres along the
+        longest axis of its box (a stable sort, so coincident centres keep
+        their order), the lower half first.  The median split always
+        produces two non-empty halves, so the levels end even for
+        coincident centres.
+        """
+        order = np.arange(self.lo.shape[0], dtype=np.intp)
+        starts = np.zeros(1, dtype=np.intp)
+        parents = np.full(1, -1, dtype=np.intp)
+        box_lo: list[np.ndarray] = []
+        box_hi: list[np.ndarray] = []
+        child_ids: list[np.ndarray] = []
+        while starts.size:
+            sizes = np.diff(np.append(starts, order.size))
+            lo = np.minimum.reduceat(self.lo[order], starts, axis=0)
+            hi = np.maximum.reduceat(self.hi[order], starts, axis=0)
+            first = len(self.nodes)
+            for k in range(starts.size):
+                node = ClusterNode(
+                    indices=order[starts[k] : starts[k] + sizes[k]], lo=lo[k], hi=hi[k]
+                )
+                self.nodes.append(node)
+                if parents[k] >= 0:
+                    self.nodes[parents[k]].children.append(node)
+            box_lo.append(lo)
+            box_hi.append(hi)
+            child_ids.append(np.full((starts.size, 2), -1, dtype=np.intp))
+
+            split = np.flatnonzero(sizes > self.leaf_size)
+            if not split.size:
+                break
+            segment = np.repeat(np.arange(split.size), sizes[split])
+            within = np.arange(segment.size) - (np.cumsum(sizes[split]) - sizes[split])[segment]
+            members = order[starts[split][segment] + within]
+            axis = np.argmax(hi[split] - lo[split], axis=1)
+            ranked = np.lexsort((self.centers[members, axis[segment]], segment))
+            order = members[ranked]
+            halves = np.column_stack([sizes[split] // 2, sizes[split] - sizes[split] // 2])
+            starts = (np.cumsum(halves.ravel()) - halves.ravel()).astype(np.intp)
+            parents = np.repeat(first + split, 2)
+            child_ids[-1][split] = len(self.nodes) + np.arange(2 * split.size).reshape(-1, 2)
+        #: ``(C, 3)`` box corners, ``(C,)`` box diagonals and ``(C, 2)``
+        #: child node numbers (``-1`` for a leaf) of the nodes.
+        self.box_lo = np.concatenate(box_lo)
+        self.box_hi = np.concatenate(box_hi)
+        self.diameters = box_norms(self.box_hi - self.box_lo)
+        self.child_ids = np.concatenate(child_ids)
 
     # ------------------------------------------------------------------
     @property

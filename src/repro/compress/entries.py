@@ -19,8 +19,9 @@ evaluation paths produce identical values (to round-off):
 
 The oracle's kernel core keeps one key table for the oracle's whole life
 (see :mod:`repro.greens.batched`), so a key sampled by several calls -- the
-near field and the lockstep ACA steps of an H-matrix build, from one thread
-or several -- is evaluated once.
+near field and the lockstep ACA steps of an H-matrix build -- is evaluated
+once; a parallel build deals only the missing keys of its large calls to
+its workers.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ class GalerkinEntries:
         self._tstart = np.searchsorted(arrays.owner, np.arange(count))
         self._tstop = np.searchsorted(arrays.owner, np.arange(count), side="right")
         self._tcount = self._tstop - self._tstart
-        #: Number of entries sampled so far in this process (diagnostics /
-        #: cost accounting); a process-mode H-matrix build samples in its
-        #: workers and reports its count as ``HMatrix.entries_sampled``.
+        #: Number of entries sampled so far (diagnostics / cost accounting);
+        #: every oracle call runs in the calling process, whatever the
+        #: executor of the H-matrix build.
         self.entries_sampled = 0
 
     # ------------------------------------------------------------------

@@ -12,59 +12,70 @@ For the products the blocks are packed once, at construction, into a CSR
 near field and block-sparse far factors, so a product is three sparse
 multiplications instead of a Python walk over the blocks.
 
-Within a partition every oracle call is batched: the whole near field is
-evaluated in one call, and the ACAs of all far blocks run in lockstep, one
-call per ACA step answering the pending row or column sample of every
-unfinished block.  Entries do not depend on how they are batched, so this
-is bit-identical to per-block assembly.
+The build runs in four phases, each a child span of
+``assembly.build_hmatrix``:
 
-Block assembly is worker-partitioned: the flat block list is divided into
-``num_workers`` contiguous partitions with
-:func:`repro.assembly.partition.partition_range` (the same equal-split idiom
-as the parallel Galerkin assemblers) and the partitions are mapped over
-:func:`repro.parallel.executor.map_jobs` in one of its modes:
+1. ``compress.tree`` -- the cluster tree and the diagonal-plus-upper block
+   list, built level by level over arrays;
+2. ``compress.near`` -- every inadmissible block in ONE oracle call;
+3. ``compress.far`` -- the ACAs of all admissible blocks in lockstep, one
+   oracle call per ACA step answering the pending row or column sample of
+   every unfinished block;
+4. ``compress.pack`` -- the packed operator, in one sweep over the blocks.
 
-* ``"serial"`` — partitions run one after another in the current process
+Entries do not depend on how they are batched, so this is bit-identical to
+per-block assembly.
+
+The parallelism is in the kernel, not in the block list.  The oracle's
+kernel core keeps one key table for the build (see
+:mod:`repro.greens.batched`), and ``build_hmatrix`` opens one
+:class:`~repro.parallel.executor.WorkerPool` of ``num_workers`` workers in
+``executor`` mode for the whole build and attaches it to that core
+(:meth:`~repro.greens.batched.BatchedKernelCore.dealing`).  An oracle call
+with a few thousand missing kernel keys or more sorts them by category,
+deals them round-robin into one slice per worker and maps the slices over
+the pool; the values come back to the calling thread, which merges them
+into the table.  Smaller calls (the lockstep ACA steps, typically) run
+inline, where a pool round trip would cost more than it saves.  The modes:
+
+* ``"serial"`` -- the slices run one after another in the current process
   (the reference the others must match);
-* ``"thread"`` (default) — one thread per partition, each calling the
-  caller's own entry oracle.  Partitions overlap only while the kernel core
-  is inside NumPy calls that release the GIL; the Python around them
-  serialises;
-* ``"process"`` — one forked worker per partition.  The workers inherit the
-  caller's oracle and block list at the fork, with the closure that
-  assembles a partition, so only the partition bounds are pickled on the
-  way out and the block entries come back over the pipe.  A custom
+* ``"thread"`` (default) -- one thread per slice; the kernel's NumPy calls
+  release the GIL, the bookkeeping around them stays in the calling thread;
+* ``"process"`` -- one forked worker per slice.  The workers inherit the
+  kernel core at the fork, so only the slices' key arrays are pickled on
+  the way out and their values on the way back.  A custom
   ``collocation_fn`` of the oracle runs in the workers too.
 
-Threads do not pay on a 2-core host.  On the bus 6x6 ``face_refinement=2``,
-``leaf_size=16`` system (N=360, 80 far blocks) on a 2-core Xeon, two sets
-of 9 interleaved builds had medians of 0.42 / 0.47 s serial, 0.43 / 0.53 s
-on 2 threads and 0.35 / 0.39 s on 2 processes.
-
-Each partition's arithmetic is independent and the merged block lists are
-ordered by partition index, so the assembled operator is **bit-identical**
-across executors and worker counts.  ``worker_seconds`` records each
-partition's wall-clock time measured inside its worker, and
-``entries_sampled`` the sum of the oracle entries the partitions sampled.
+Each kernel key is therefore evaluated once per build whatever the
+executor or worker count, and a value is a pure function of its key, so the
+operator is **bit-identical** across executors and worker counts.  On the
+bus 6x6 ``face_refinement=2``, ``leaf_size=16`` system (N=360) on a 2-core
+Xeon, the near field's 33,600 keys take 0.134 s on one thread and 0.084 s
+dealt to two, and a cold build fell from about 0.28 s serial to 0.24 s on
+two threads.  ``worker_seconds`` records the busy seconds of each slice
+summed over the build's calls (inline calls count as slice 0), and
+``entries_sampled`` the oracle entries the build sampled.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator
 
-from repro.assembly.partition import partition_range
 from repro.compress.aca import LowRankFactors, aca_core
 from repro.compress.blocktree import Block, BlockClusterTree
 from repro.compress.cluster import ClusterTree
 from repro.compress.entries import GalerkinEntries
-from repro.obs import clock
-from repro.obs.trace import record_span, span
-from repro.parallel.executor import check_mode, map_jobs
+from repro.greens.batched import KeySlices
+from repro.obs.trace import span
+from repro.parallel.executor import WorkerPool, check_mode
 
 __all__ = [
     "DenseBlockEntry",
@@ -130,36 +141,65 @@ class HMatrix(LinearOperator):
         super().__init__(dtype=np.dtype(float), shape=(size, size))
         self.dense_blocks = dense_blocks
         self.lowrank_blocks = lowrank_blocks
-        #: Per-partition assembly wall-clock times (one entry per worker).
+        #: Kernel busy seconds of each worker's key slices (one entry per
+        #: worker; inline evaluation counts as worker 0).
         self.worker_seconds = list(worker_seconds or [])
-        #: Oracle entries the build sampled, summed over its partitions.
+        #: Oracle entries the build sampled.
         self.entries_sampled = int(entries_sampled)
         # The packed operator the products apply: every near block, its
         # mirrored transpose included, in one CSR matrix, and the far
         # factors as block-sparse ``U`` (N x K) / ``V`` (K x N) whose rank
         # groups are the blocks' factors (a mirrored block adds a second
-        # group holding ``v.T`` / ``u.T``).
-        near: list[_Triplets] = []
-        for dense in dense_blocks:
-            near.append(_triplets(dense.rows, dense.cols, dense.values))
-            if dense.mirrored:
-                near.append(_triplets(dense.cols, dense.rows, dense.values.T))
-        far_u: list[_Triplets] = []
-        far_v: list[_Triplets] = []
-        rank_offset = 0
-        for lowrank in lowrank_blocks:
-            u, v = lowrank.factors.u, lowrank.factors.v
-            groups = [(lowrank.rows, lowrank.cols, u, v)]
-            if lowrank.mirrored:
-                groups.append((lowrank.cols, lowrank.rows, v.T, u.T))
-            for rows, cols, left, right in groups:
-                ranks = np.arange(rank_offset, rank_offset + left.shape[1])
-                far_u.append(_triplets(rows, ranks, left))
-                far_v.append(_triplets(ranks, cols, right))
-                rank_offset += int(ranks.size)
-        self.near = _csr(near, (size, size))
-        self.far_u = _csr(far_u, (size, rank_offset))
-        self.far_v = _csr(far_v, (rank_offset, size))
+        # group, right after its first, holding ``v.T`` / ``u.T``).  A
+        # mirrored group's triplets are its original's swapped, and CSR
+        # conversion sorts every row, so each matrix is packed in one sweep
+        # over all blocks.
+        rows, cols, values, block = _block_triplets(
+            [dense.rows for dense in dense_blocks],
+            [dense.cols for dense in dense_blocks],
+            [dense.values for dense in dense_blocks],
+        )
+        mirror = np.array([dense.mirrored for dense in dense_blocks], dtype=bool)[block]
+        self.near = _csr(
+            dense_blocks,
+            (np.concatenate([rows, cols[mirror]]), np.concatenate([cols, rows[mirror]])),
+            np.concatenate([values, values[mirror]]),
+            (size, size),
+        )
+        ranks = np.array([lowrank.factors.rank for lowrank in lowrank_blocks], dtype=np.intp)
+        mirrored = np.array([lowrank.mirrored for lowrank in lowrank_blocks], dtype=bool)
+        group_ranks = ranks * (1 + mirrored)
+        first = np.cumsum(group_ranks) - group_ranks
+        rank_count = int(group_ranks.sum())
+        u_rows, u_ranks, u_values, u_block = _block_triplets(
+            [lowrank.rows for lowrank in lowrank_blocks],
+            first,
+            [lowrank.factors.u for lowrank in lowrank_blocks],
+        )
+        v_ranks, v_cols, v_values, v_block = _block_triplets(
+            first,
+            [lowrank.cols for lowrank in lowrank_blocks],
+            [lowrank.factors.v for lowrank in lowrank_blocks],
+        )
+        u_mirror, v_mirror = mirrored[u_block], mirrored[v_block]
+        self.far_u = _csr(
+            lowrank_blocks,
+            (
+                np.concatenate([u_rows, v_cols[v_mirror]]),
+                np.concatenate([u_ranks, (v_ranks + ranks[v_block])[v_mirror]]),
+            ),
+            np.concatenate([u_values, v_values[v_mirror]]),
+            (size, rank_count),
+        )
+        self.far_v = _csr(
+            lowrank_blocks,
+            (
+                np.concatenate([v_ranks, (u_ranks + ranks[u_block])[u_mirror]]),
+                np.concatenate([v_cols, u_rows[u_mirror]]),
+            ),
+            np.concatenate([v_values, u_values[u_mirror]]),
+            (rank_count, size),
+        )
 
     # ------------------------------------------------------------------
     def _matmat(self, x: np.ndarray) -> np.ndarray:
@@ -300,8 +340,8 @@ def build_hmatrix(
         Admissibility parameter (see
         :class:`~repro.compress.blocktree.BlockClusterTree`).
     num_workers:
-        Number of equal partitions of the block list, each assembled by one
-        worker; the per-partition assembly times are recorded on the
+        Workers that evaluate slices of the missing kernel keys of each
+        large oracle call; the per-worker busy times are recorded on the
         returned operator.
     executor:
         ``"serial"``, ``"thread"`` (default) or ``"process"`` — see the
@@ -316,61 +356,64 @@ def build_hmatrix(
     if max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     check_mode(executor)
+    core = entries.assembler.core
+    mode = "serial" if num_workers == 1 else executor
+    work: Counter[str] = Counter()
     with span(
         "assembly.build_hmatrix",
         executor=executor,
         num_workers=num_workers,
         unknowns=entries.num_unknowns,
     ) as build_span:
-        blocks = _upper_blocks(entries, leaf_size, eta)
-        parts = partition_range(len(blocks), num_workers)
-
-        mode = "serial" if num_workers == 1 else executor
-        # Every mode runs the same closure over the caller's oracle; forked
-        # workers inherit it, so only the partition bounds are pickled.
-        partition_results = map_jobs(
-            lambda part: _assemble_partition(
-                entries, blocks[part.start : part.stop], epsilon, max_rank
-            ),
-            parts,
-            mode=mode,
-            workers=num_workers,
-        )
-        if mode == "process":
-            # The fork workers cannot reach the in-process trace; their
-            # wall times come back over the pipe and are re-attached as
-            # synthesized spans so the tree still accounts for the work.
-            for index, (_, _, seconds, _) in enumerate(partition_results):
-                record_span("assembly.partition", seconds, worker=index, executor="process")
-
-        # Deterministic merge: block lists concatenated in partition order
-        # keep the result bit-identical to (and ordered like) the serial
-        # sweep.
-        dense_blocks: list[DenseBlockEntry] = []
-        lowrank_blocks: list[LowRankBlockEntry] = []
-        worker_seconds: list[float] = []
-        work: Counter[str] = Counter()
-        for part_dense, part_lowrank, seconds, part_work in partition_results:
-            dense_blocks.extend(part_dense)
-            lowrank_blocks.extend(part_lowrank)
-            worker_seconds.append(seconds)
-            work.update(part_work)
+        with span("compress.tree") as tree_span:
+            blocks = _upper_blocks(entries, leaf_size, eta)
+            if tree_span is not None:
+                tree_span.attributes["blocks"] = len(blocks)
+        near = [block for block in blocks if not block.admissible]
+        far = [block for block in blocks if block.admissible]
+        with WorkerPool(core.evaluate_slice, mode, num_workers) as pool, core.dealing(
+            pool, num_workers
+        ) as slices:
+            with _phase("compress.near", near, work, slices):
+                dense_blocks = _assemble_dense_blocks(entries, near, work)
+            with _phase("compress.far", far, work, slices):
+                lowrank_blocks = _assemble_lowrank_blocks(entries, far, epsilon, max_rank, work)
+        with span("compress.pack", blocks=len(blocks)):
+            hmatrix = HMatrix(
+                size=entries.num_unknowns,
+                dense_blocks=dense_blocks,
+                lowrank_blocks=lowrank_blocks,
+                worker_seconds=slices.busy,
+                entries_sampled=work["entries_sampled"],
+            )
         if build_span is not None:
             build_span.attributes.update(
                 pairs_requested=work["pairs_requested"], keys_evaluated=work["keys_evaluated"]
             )
+    return hmatrix
 
-    return HMatrix(
-        size=entries.num_unknowns,
-        dense_blocks=dense_blocks,
-        lowrank_blocks=lowrank_blocks,
-        worker_seconds=worker_seconds,
-        entries_sampled=work["entries_sampled"],
-    )
+
+@contextmanager
+def _phase(name: str, blocks: list[Block], work: Counter[str], slices: KeySlices) -> Iterator[None]:
+    """A build-phase span counting its blocks and the kernel keys it evaluated.
+
+    ``keys_evaluated`` is the phase's share of the oracle's evaluations,
+    ``slices_dispatched`` the key slices it mapped over the worker pool and
+    ``keys_inline`` the keys it evaluated in the calling thread.
+    """
+    keys, dispatched, inline = work["keys_evaluated"], slices.dispatched, slices.inline_keys
+    with span(name, blocks=len(blocks)) as phase:
+        yield
+        if phase is not None:
+            phase.attributes.update(
+                keys_evaluated=work["keys_evaluated"] - keys,
+                slices_dispatched=slices.dispatched - dispatched,
+                keys_inline=slices.inline_keys - inline,
+            )
 
 
 def _upper_blocks(entries: GalerkinEntries, leaf_size: int, eta: float) -> list[Block]:
-    """The deterministic diagonal-plus-upper block list of the partition.
+    """The deterministic diagonal-plus-upper block list of the block partition.
 
     The Galerkin kernel is symmetric and the block partition is mirror
     symmetric, so only the diagonal and "upper" blocks are assembled; the
@@ -378,56 +421,16 @@ def _upper_blocks(entries: GalerkinEntries, leaf_size: int, eta: float) -> list[
     """
     tree = ClusterTree(*entries.support_bounds(), leaf_size=leaf_size)
     block_tree = BlockClusterTree(tree, tree, eta=eta)
-    return [
-        block
-        for block in block_tree.blocks
-        if block.row is block.col
-        or int(block.row.indices.min()) < int(block.col.indices.min())
-    ]
-
-
-def _assemble_partition(
-    entries: GalerkinEntries,
-    part_blocks: list[Block],
-    epsilon: float,
-    max_rank: int,
-) -> tuple[list[DenseBlockEntry], list[LowRankBlockEntry], float, Counter[str]]:
-    """Assemble one worker's partition of the block list.
-
-    Pure with respect to shared state (each call appends only to its own
-    lists; the oracle's key table only ever gains values that are pure
-    functions of their keys), so partitions can run concurrently; the
-    wall-clock time is measured inside the worker and therefore reflects
-    true concurrent assembly under the thread/process executors.  Returns
-    the blocks, that time and the partition's oracle work counts
-    (``entries_sampled``, ``pairs_requested``, ``keys_evaluated``; see
-    :meth:`GalerkinEntries.entry_values`).
-    """
-    t_begin = clock.now()
-    dense_blocks: list[DenseBlockEntry] = []
-    lowrank_blocks: list[LowRankBlockEntry] = []
-    work: Counter[str] = Counter()
-    # All inadmissible blocks of the partition are evaluated through ONE
-    # batched oracle call: the entries are elementwise independent, so
-    # fusing the blocks is bit-identical to per-block assembly while
-    # letting the kernel core amortise its per-call vectorisation setup
-    # over the whole near field.
-    _assemble_dense_blocks(
-        entries, [b for b in part_blocks if not b.admissible], dense_blocks, work
-    )
-    _assemble_lowrank_blocks(
-        entries, [b for b in part_blocks if b.admissible], epsilon, max_rank, lowrank_blocks, work
-    )
-    return dense_blocks, lowrank_blocks, clock.now() - t_begin, work
+    first = np.array([int(node.indices.min()) for node in tree.nodes])
+    rows, cols = block_tree.row_ids, block_tree.col_ids
+    upper = np.flatnonzero((rows == cols) | (first[rows] < first[cols]))
+    return [block_tree.blocks[k] for k in upper]
 
 
 def _assemble_dense_blocks(
-    entries: GalerkinEntries,
-    blocks: list[Block],
-    dense_blocks: list[DenseBlockEntry],
-    work: Counter[str],
-) -> None:
-    """Assemble every near-field block of a partition in one oracle call.
+    entries: GalerkinEntries, blocks: list[Block], work: Counter[str]
+) -> list[DenseBlockEntry]:
+    """Assemble every near-field block in one oracle call.
 
     Off-diagonal (mirrored) blocks request their full ``rows x cols`` entry
     set; diagonal blocks are symmetric, so only the upper triangle is
@@ -436,7 +439,7 @@ def _assemble_dense_blocks(
     accumulate in ``work``.
     """
     if not blocks:
-        return
+        return []
     entry_rows: list[np.ndarray] = []
     entry_cols: list[np.ndarray] = []
     for block in blocks:
@@ -452,6 +455,7 @@ def _assemble_dense_blocks(
     values = entries.entry_values(
         np.concatenate(entry_rows), np.concatenate(entry_cols), work=work
     )
+    dense_blocks: list[DenseBlockEntry] = []
     offset = 0
     for block, flat_rows in zip(blocks, entry_rows):
         rows = block.row.indices
@@ -469,6 +473,7 @@ def _assemble_dense_blocks(
         dense_blocks.append(
             DenseBlockEntry(rows=rows, cols=cols, values=dense, mirrored=mirrored)
         )
+    return dense_blocks
 
 
 def _assemble_lowrank_blocks(
@@ -476,10 +481,9 @@ def _assemble_lowrank_blocks(
     blocks: list[Block],
     epsilon: float,
     max_rank: int,
-    lowrank_blocks: list[LowRankBlockEntry],
     work: Counter[str],
-) -> None:
-    """Compress every far-field block of a partition, all ACAs in lockstep.
+) -> list[LowRankBlockEntry]:
+    """Compress every far-field block, all ACAs in lockstep.
 
     Each block runs its own :func:`~repro.compress.aca.aca_core`; every
     step gathers the one pending row or column request of each unfinished
@@ -517,28 +521,58 @@ def _assemble_lowrank_blocks(
                 requests[b] = cores[b].send(sample)
             except StopIteration as stop:
                 factors[b] = stop.value
-    for b, block in enumerate(blocks):
-        lowrank_blocks.append(
-            LowRankBlockEntry(
-                rows=block.row.indices,
-                cols=block.col.indices,
-                factors=factors[b],
-                mirrored=block.row is not block.col,
-            )
+    return [
+        LowRankBlockEntry(
+            rows=block.row.indices,
+            cols=block.col.indices,
+            factors=factors[b],
+            mirrored=block.row is not block.col,
         )
+        for b, block in enumerate(blocks)
+    ]
 
 
-_Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]
+def _block_triplets(
+    rows: list[np.ndarray] | np.ndarray,
+    cols: list[np.ndarray] | np.ndarray,
+    values: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate triplets of dense blocks ``rows[b] x cols[b]``, in one sweep.
+
+    ``values[b]`` is block ``b``'s ``(m, n)`` array.  An index side may
+    instead be an integer array of range starts: block ``b`` then spans
+    the contiguous indices from ``rows[b]`` (or ``cols[b]``) on -- the rank
+    range of a far factor.  Returns the rows, columns and values of every
+    entry, row-major within each block, and the block of every entry.
+    """
+    shapes = np.array([block.shape for block in values], dtype=np.intp).reshape(-1, 2)
+    m, n = shapes[:, 0], shapes[:, 1]
+    sizes = m * n
+    block = np.repeat(np.arange(sizes.size), sizes)
+    local = np.arange(int(sizes.sum())) - (np.cumsum(sizes) - sizes)[block]
+    flat_values = np.concatenate([np.ravel(v) for v in values] or [np.zeros(0)])
+    return (
+        _side(rows, m, block, local // n[block]),
+        _side(cols, n, block, local % n[block]),
+        flat_values,
+        block,
+    )
 
 
-def _triplets(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> _Triplets:
-    """Coordinate triplets of a dense ``rows x cols`` block."""
-    return np.repeat(rows, cols.size), np.tile(cols, rows.size), values.ravel()
+def _side(
+    side: list[np.ndarray] | np.ndarray, counts: np.ndarray, block: np.ndarray, position: np.ndarray
+) -> np.ndarray:
+    """Index of every entry along one block side (index arrays or range starts)."""
+    if isinstance(side, np.ndarray):
+        return side[block] + position
+    flat = np.concatenate(side or [np.zeros(0, dtype=np.intp)])
+    return flat[(np.cumsum(counts) - counts)[block] + position]
 
 
-def _csr(parts: list[_Triplets], shape: tuple[int, int]) -> csr_matrix:
-    """One CSR matrix from coordinate triplets that overlap nowhere."""
-    if not parts:
+def _csr(
+    blocks: list, coords: tuple[np.ndarray, np.ndarray], values: np.ndarray, shape: tuple[int, int]
+) -> csr_matrix:
+    """One CSR matrix from coordinate triplets that overlap nowhere (empty without blocks)."""
+    if not blocks:
         return csr_matrix(shape)
-    rows, cols, values = (np.concatenate(column) for column in zip(*parts))
-    return csr_matrix((values, (rows, cols)), shape=shape)
+    return csr_matrix((values, coords), shape=shape)

@@ -245,15 +245,23 @@ _CASES = {
     """,
     "hmatrix": """
         from repro.basis import build_basis_set
+        from repro.basis.instantiate import InstantiationConfig
         from repro.compress import hmatrix
         from repro.compress.entries import GalerkinEntries
+        from repro.greens.batched import BatchedKernelCore
 
+        # Large enough that the near field's keys are dealt to the workers.
         layout = generators.bus_crossing(2, 2)
-        entries = GalerkinEntries(build_basis_set(layout), layout.permittivity)
+        basis_set = build_basis_set(layout, InstantiationConfig(face_refinement=2))
         check(
-            hmatrix,
-            "_assemble_partition",
-            lambda: hmatrix.build_hmatrix(entries, leaf_size=8, num_workers=2, executor="process"),
+            BatchedKernelCore,
+            "evaluate_slice",
+            lambda: hmatrix.build_hmatrix(
+                GalerkinEntries(basis_set, layout.permittivity),
+                leaf_size=8,
+                num_workers=2,
+                executor="process",
+            ),
         )
     """,
     "frw": """
