@@ -17,7 +17,7 @@ def test_table2_transistor_interconnect(benchmark, quick_mode):
 
     data = report.data
     fastcap = data["FASTCAP-like"]
-    compact = data["instantiable w/ accel"]
+    compact = data["instantiable"]
     # Reproduction targets (shape): the compact basis uses far fewer unknowns,
     # runs faster in total and needs less memory than the FASTCAP-like
     # baseline, at comparable (few-percent to ~10 %) accuracy.

@@ -1,20 +1,20 @@
 """Transistor-interconnect example: instantiable basis vs the FASTCAP-like baseline.
 
 Reproduces the comparison of paper Table 2 on the synthetic transistor-cell
-interconnect block (see DESIGN.md for the substitution of the industry
-structure) through the unified engine: the FASTCAP-like multipole backend,
-the instantiable-basis backend without acceleration, and with the
-tabulated-subroutine acceleration, all checked against the refined PWC
-reference.  Every backend returns the same unified result type, so one loop
-formats the whole comparison.
+interconnect block (a stand-in for the paper's industry structure) through
+the unified engine: the FASTCAP-like multipole backend and the
+instantiable-basis backend, both checked against the refined PWC reference.
+The paper's accelerated column is not reproduced; its tabulated
+subroutines are slower than the analytic kernel here.  Every backend
+returns the same unified result type, so one loop formats the whole
+comparison.
 
 Run with ``python examples/transistor_interconnect.py``.
 """
 
 from __future__ import annotations
 
-from repro import ExtractionConfig, generators, get_backend
-from repro.accel import AccelerationTechnique
+from repro import generators, get_backend
 from repro.analysis import format_table
 from repro.core.reference import reference_capacitance
 from repro.solver import compare_capacitance
@@ -27,14 +27,9 @@ def main() -> None:
 
     reference = reference_capacitance(layout, cells_per_edge=3, max_panels=2000, max_iterations=3)
 
-    instantiable = get_backend("instantiable")
     results = {
         "FASTCAP-like": get_backend("fastcap").extract(layout, cells_per_edge=3),
-        "instantiable w/o accel": instantiable.extract(layout),
-        "instantiable w/ accel": instantiable.extract(
-            layout,
-            config=ExtractionConfig(acceleration=AccelerationTechnique.FAST_SUBROUTINES),
-        ),
+        "instantiable": get_backend("instantiable").extract(layout),
     }
 
     rows = []
@@ -55,8 +50,7 @@ def main() -> None:
         title="Transistor interconnect comparison (paper Table 2)",
     ))
     print()
-    plain = results["instantiable w/o accel"]
-    gate_coupling = plain.coupling_capacitance("poly", "m1_0")
+    gate_coupling = results["instantiable"].coupling_capacitance("poly", "m1_0")
     print(f"Example coupling, poly gate to first M1 strap: {gate_coupling * 1e15:.4f} fF")
 
 

@@ -1,12 +1,13 @@
 """Reproduction of "A Highly Scalable Parallel Boundary Element Method for
 Capacitance Extraction" (Hsiao & Daniel, DAC 2011).
 
-The package implements the full system described in the paper:
+The package implements the system described in the paper, except the
+integration acceleration of Section 4.2 (slower than the vectorised closed
+forms here; see ``docs/benchmarks.md``):
 
 * ``repro.geometry`` -- Manhattan interconnect geometry substrate.
 * ``repro.greens`` -- closed-form and quadrature integration of the
   electrostatic Green's function over rectangular panels.
-* ``repro.accel`` -- the four integration-acceleration techniques of Section 4.
 * ``repro.basis`` -- instantiable basis functions (flat and arch templates).
 * ``repro.pwc`` -- the standard piecewise-constant BEM substrate.
 * ``repro.fastcap`` -- a FASTCAP-like multipole-accelerated baseline.

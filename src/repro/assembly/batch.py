@@ -137,7 +137,6 @@ class BatchGalerkinAssembler:
         basis_set: BasisSet,
         permittivity: float,
         policy: ApproximationPolicy | None = None,
-        collocation_fn=None,
         order_near: int = 6,
         order_far: int = 3,
         batch_size: int = 200_000,
@@ -149,14 +148,12 @@ class BatchGalerkinAssembler:
             arrays=TemplateArrays.from_basis_set(basis_set),
             permittivity=permittivity,
             policy=policy,
-            collocation_fn=collocation_fn,
             order_near=order_near,
             order_far=order_far,
         )
         self.arrays = self.core.arrays
         self.permittivity = self.core.permittivity
         self.policy = self.core.policy
-        self.collocation_fn = self.core.collocation_fn
         self.order_near = self.core.order_near
         self.order_far = self.core.order_far
         self.batch_size = int(batch_size)

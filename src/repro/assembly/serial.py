@@ -33,8 +33,6 @@ class SerialAssembler:
         Absolute permittivity of the medium.
     policy:
         Approximation-distance policy shared with the integrator.
-    collocation_fn:
-        Optional accelerated collocation evaluator (Section 4.2 techniques).
     """
 
     def __init__(
@@ -42,7 +40,6 @@ class SerialAssembler:
         basis_set: BasisSet,
         permittivity: float,
         policy: ApproximationPolicy | None = None,
-        collocation_fn=None,
         order_near: int = 6,
         order_far: int = 3,
     ):
@@ -51,7 +48,6 @@ class SerialAssembler:
         self.integrator = GalerkinIntegrator(
             permittivity,
             policy=policy,
-            collocation_fn=collocation_fn,
             order_near=order_near,
             order_far=order_far,
         )

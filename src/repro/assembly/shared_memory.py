@@ -19,9 +19,8 @@ provided:
   Figure 4.  The workers run a closure over the parent's assembler, which
   they inherit at the fork with the template definitions, so nothing is
   rebuilt or pickled on the way in: only the partition bounds go out and the
-  partial matrices come back.  The assembler carries its
-  ``collocation_fn``, so the acceleration techniques run in workers too.  A
-  worker that dies raises ``BrokenProcessPool``.
+  partial matrices come back.  A worker that dies raises
+  ``BrokenProcessPool``.
 
 :class:`PartitionedAssembler` holds what this flow shares with the
 distributed one (:mod:`repro.assembly.distributed`): the constructor and the
@@ -106,7 +105,7 @@ class PartitionedAssembler:
 
     Parameters
     ----------
-    basis_set, permittivity, policy, collocation_fn, order_near, order_far, batch_size:
+    basis_set, permittivity, policy, order_near, order_far, batch_size:
         Forwarded to :class:`~repro.assembly.batch.BatchGalerkinAssembler`.
     num_nodes:
         Number of parallel computing nodes ``D``.
@@ -120,7 +119,6 @@ class PartitionedAssembler:
         permittivity: float,
         num_nodes: int = 1,
         policy: ApproximationPolicy | None = None,
-        collocation_fn=None,
         order_near: int = 6,
         order_far: int = 3,
         batch_size: int = 200_000,
@@ -135,7 +133,6 @@ class PartitionedAssembler:
             basis_set,
             permittivity,
             policy=policy,
-            collocation_fn=collocation_fn,
             order_near=order_near,
             order_far=order_far,
             batch_size=batch_size,

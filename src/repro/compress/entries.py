@@ -67,7 +67,6 @@ class GalerkinEntries:
         basis_set: BasisSet,
         permittivity: float,
         policy: ApproximationPolicy | None = None,
-        collocation_fn=None,
         order_near: int = 6,
         order_far: int = 3,
         vectorized: bool = True,
@@ -79,7 +78,6 @@ class GalerkinEntries:
             basis_set,
             permittivity,
             policy=policy,
-            collocation_fn=collocation_fn,
             order_near=order_near,
             order_far=order_far,
         )

@@ -44,8 +44,7 @@ inline, where a pool round trip would cost more than it saves.  The modes:
   release the GIL, the bookkeeping around them stays in the calling thread;
 * ``"process"`` -- one forked worker per slice.  The workers inherit the
   kernel core at the fork, so only the slices' key arrays are pickled on
-  the way out and their values on the way back.  A custom
-  ``collocation_fn`` of the oracle runs in the workers too.
+  the way out and their values on the way back.
 
 Each kernel key is therefore evaluated once per build whatever the
 executor or worker count, and a value is a pure function of its key, so the

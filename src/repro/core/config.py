@@ -6,7 +6,6 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.accel.engine import AccelerationTechnique
 from repro.basis.instantiate import InstantiationConfig
 from repro.greens.policy import ApproximationPolicy
 
@@ -30,17 +29,11 @@ class ExtractionConfig:
     tolerance:
         Target relative accuracy of the integral approximations (drives the
         approximation-distance policy of Section 4.1).
-    acceleration:
-        Which integration acceleration technique of Section 4.2 to use for
-        the collocation evaluations (``None`` or ``ANALYTICAL`` disables
-        acceleration -- the "w/o accel." column of Table 2).
     parallel_mode, num_nodes, use_processes:
         Parallel execution of the system setup (Section 5).  With
         ``use_processes=False`` the partitions are executed sequentially and
         timed individually, which is what the simulated parallel machine
-        consumes.  Forked worker processes inherit the parent's assembler,
-        acceleration evaluator included, so ``acceleration`` applies with
-        ``use_processes`` too.
+        consumes.  Forked worker processes inherit the parent's assembler.
     instantiation:
         Basis-instantiation knobs (crossing cut-off, face refinement,
         ablation switches).
@@ -48,13 +41,9 @@ class ExtractionConfig:
         Gauss orders of the quadrature fallbacks.
     batch_size:
         Template pairs per vectorised batch.
-    acceleration_options:
-        Extra keyword arguments forwarded to the acceleration evaluator
-        constructor (table resolutions, fit degrees, ...).
     """
 
     tolerance: float = 0.01
-    acceleration: AccelerationTechnique | str | None = None
     parallel_mode: ParallelMode | str = ParallelMode.SERIAL
     num_nodes: int = 1
     use_processes: bool = False
@@ -62,7 +51,6 @@ class ExtractionConfig:
     order_near: int = 6
     order_far: int = 3
     batch_size: int = 200_000
-    acceleration_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -79,9 +67,9 @@ class ExtractionConfig:
         Raises
         ------
         ValueError
-            On an unknown parallel mode or acceleration name, a tolerance
-            outside ``(0, 1)`` (negative in particular), ``num_nodes < 1``,
-            or non-positive quadrature orders / batch size.
+            On an unknown parallel mode, a tolerance outside ``(0, 1)``
+            (negative in particular), ``num_nodes < 1``, or non-positive
+            quadrature orders / batch size.
         """
         if isinstance(self.parallel_mode, str):
             try:
@@ -96,15 +84,6 @@ class ExtractionConfig:
                 f"parallel_mode must be a ParallelMode or its string value, "
                 f"got {self.parallel_mode!r}"
             )
-        if isinstance(self.acceleration, str):
-            try:
-                self.acceleration = AccelerationTechnique(self.acceleration)
-            except ValueError:
-                valid = ", ".join(sorted(t.value for t in AccelerationTechnique))
-                raise ValueError(
-                    f"unknown acceleration technique {self.acceleration!r}; "
-                    f"valid techniques: {valid}"
-                ) from None
         if not (0.0 < self.tolerance < 1.0):
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
         try:
@@ -127,9 +106,3 @@ class ExtractionConfig:
     def policy(self) -> ApproximationPolicy:
         """The approximation-distance policy implied by the tolerance."""
         return ApproximationPolicy(tolerance=self.tolerance)
-
-    def technique(self) -> AccelerationTechnique:
-        """The effective acceleration technique (ANALYTICAL when disabled)."""
-        if self.acceleration is None:
-            return AccelerationTechnique.ANALYTICAL
-        return self.acceleration

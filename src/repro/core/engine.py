@@ -2,8 +2,8 @@
 
 This is the system the paper describes end to end: instantiate the compact
 basis over the layout (Section 2.2), fill the condensed system matrix in
-parallel (Sections 3 and 5, optionally with the integration acceleration of
-Section 4), solve the system and form the capacitance matrix (Section 2.1).
+parallel (Sections 3 and 5), solve the system and form the capacitance
+matrix (Section 2.1).
 
 :func:`extract_galerkin` runs that sequence for all four Galerkin backends.
 They differ only in the setup and solve it is handed:
@@ -28,7 +28,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from repro.accel.engine import AccelerationTechnique, make_evaluator
 from repro.assembly.distributed import DistributedAssembler
 from repro.assembly.shared_memory import ParallelSetupResult, SharedMemoryAssembler
 from repro.basis.functions import BasisSet
@@ -57,7 +56,7 @@ class CapacitanceExtractor:
     ----------
     config:
         Extraction configuration; the defaults reproduce the paper's
-        single-node, non-accelerated setup.
+        single-node setup.
     """
 
     def __init__(self, config: ExtractionConfig | None = None):
@@ -70,7 +69,6 @@ class CapacitanceExtractor:
         def describe(basis_set: BasisSet, setup: ParallelSetupResult) -> dict:
             return {
                 "basis_summary": basis_set.summary(),
-                "acceleration": config.technique().value,
                 "parallel_mode": config.parallel_mode.value,
                 "num_nodes": setup.num_nodes,
                 "node_seconds": [r.elapsed_seconds for r in setup.node_results],
@@ -95,8 +93,8 @@ def extract_galerkin(
     ----------
     config:
         A validated configuration: basis instantiation, integration
-        accuracy, acceleration technique and the dense setup flow
-        (``parallel_mode``, ``num_nodes``, ``use_processes``).
+        accuracy and the dense setup flow (``parallel_mode``,
+        ``num_nodes``, ``use_processes``).
     describe:
         The backend's metadata, built from the basis set and the setup.
     backend:
@@ -115,25 +113,16 @@ def extract_galerkin(
     if basis_set.num_basis_functions == 0:
         raise ValueError("the layout produced an empty basis set")
 
-    collocation_fn = None
-    accel_memory = 0
-    technique = config.technique()
-    if technique is not AccelerationTechnique.ANALYTICAL:
-        evaluator = make_evaluator(technique, **config.acceleration_options)
-        collocation_fn = evaluator.from_deltas
-        accel_memory = evaluator.memory_bytes
-
     timer = SolverTimer()
     with timer.setup():
         setup: Setup
         if compression is None:
-            setup = _assemble(config, basis_set, layout.permittivity, collocation_fn)
+            setup = _assemble(config, basis_set, layout.permittivity)
         else:
             entries = GalerkinEntries(
                 basis_set,
                 layout.permittivity,
                 policy=config.policy(),
-                collocation_fn=collocation_fn,
                 order_near=config.order_near,
                 order_far=config.order_far,
             )
@@ -171,7 +160,7 @@ def extract_galerkin(
         num_templates=basis_set.num_templates,
         setup_seconds=timer.setup_seconds,
         solve_seconds=timer.solve_seconds,
-        memory_bytes=operator_bytes + int(phi.nbytes) + int(accel_memory),
+        memory_bytes=operator_bytes + int(phi.nbytes),
         parallel_setup=None if compressed else setup,
         metadata=metadata,
         backend=backend,
@@ -183,14 +172,11 @@ def extract_galerkin(
     )
 
 
-def _assemble(
-    config: ExtractionConfig, basis_set: BasisSet, permittivity: float, collocation_fn
-) -> ParallelSetupResult:
+def _assemble(config: ExtractionConfig, basis_set: BasisSet, permittivity: float) -> ParallelSetupResult:
     """Fill the dense matrix through the configured parallel system-setup flow."""
     mode = config.parallel_mode
     common = dict(
         policy=config.policy(),
-        collocation_fn=collocation_fn,
         order_near=config.order_near,
         order_far=config.order_far,
         batch_size=config.batch_size,

@@ -2,9 +2,8 @@
 
 Each ``run_*`` function reproduces one experiment:
 
-* :func:`run_table1` -- Table 1, the integration-acceleration micro-benchmark.
 * :func:`run_table2` -- Table 2, the transistor-interconnect comparison
-  against the FASTCAP-like baseline, with and without acceleration.
+  against the FASTCAP-like baseline.
 * :func:`run_table3` -- Table 3, the crossing-bus parallel speedup/efficiency
   in the shared-memory and distributed-memory flows.
 * :func:`run_fig8`   -- Figure 8, the efficiency curves of this work against
@@ -16,7 +15,8 @@ The functions are shared between the pytest benchmarks in ``benchmarks/``
 and the command-line driver (``python -m repro.core.experiments table2``),
 so both always report the same numbers.  ``quick=True`` shrinks the
 workloads to sizes suitable for continuous testing; ``quick=False`` uses
-dimensions closer to the paper (see EXPERIMENTS.md for the exact mapping).
+dimensions closer to the paper (``docs/benchmarks.md`` lists what each
+test regenerates).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.accel.engine import AccelerationTechnique, make_evaluator
 from repro.analysis.efficiency import ScalingTable
 from repro.analysis.reference_curves import published_reference_curves
 from repro.analysis.report import format_table
@@ -35,11 +34,9 @@ from repro.assembly.distributed import DistributedAssembler
 from repro.assembly.shared_memory import ParallelSetupResult, SharedMemoryAssembler
 from repro.basis.extraction import extract_charge_profile, fit_arch_parameters
 from repro.basis.instantiate import build_basis_set
-from repro.core.config import ExtractionConfig
 from repro.core.reference import reference_capacitance
 from repro.engine import get_backend
 from repro.geometry import generators
-from repro.greens.collocation import collocation_from_deltas
 from repro.parallel.machine import (
     SimulatedParallelMachine,
     calibrate_unit_costs,
@@ -50,7 +47,6 @@ from repro.solver.dense import solve_dense
 
 __all__ = [
     "ExperimentReport",
-    "run_table1",
     "run_table2",
     "run_table3",
     "run_fig8",
@@ -72,65 +68,6 @@ class ExperimentReport:
 
 
 # ----------------------------------------------------------------------
-# Table 1 -- integration acceleration techniques
-# ----------------------------------------------------------------------
-def run_table1(samples: int = 20_000, repeats: int = 3, seed: int = 7) -> ExperimentReport:
-    """Micro-benchmark of the four acceleration techniques (paper Table 1).
-
-    Every technique evaluates the same batch of 2-D collocation integrals
-    (paper eq. (13)) drawn from the near-field parameter domain; the table
-    reports the per-evaluation time, the speedup over the plain analytical
-    expression, the worst-case relative error and the auxiliary memory.
-    """
-    rng = np.random.default_rng(seed)
-    width = rng.uniform(0.2, 2.0, samples)
-    height = rng.uniform(0.2, 2.0, samples)
-    x = rng.uniform(-2.0, 2.0, samples)
-    y = rng.uniform(-2.0, 2.0, samples)
-    z = rng.uniform(0.1, 2.0, samples)
-    deltas = (x + width / 2.0, x - width / 2.0, y + height / 2.0, y - height / 2.0, z)
-    exact = collocation_from_deltas(*deltas)
-
-    rows = []
-    data: dict[str, dict[str, float]] = {}
-    baseline_time = None
-    for technique in AccelerationTechnique:
-        evaluator = make_evaluator(technique)
-        best = np.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            values = evaluator.from_deltas(*deltas)
-            best = min(best, time.perf_counter() - start)
-        per_eval_ns = best / samples * 1e9
-        if technique is AccelerationTechnique.ANALYTICAL:
-            baseline_time = per_eval_ns
-        relative_error = np.abs(values - exact) / np.abs(exact)
-        entry = {
-            "ns_per_eval": per_eval_ns,
-            "speedup": (baseline_time / per_eval_ns) if baseline_time else 1.0,
-            "max_error": float(relative_error.max()),
-            "rms_error": float(np.sqrt(np.mean(relative_error**2))),
-            "memory_bytes": float(evaluator.memory_bytes),
-        }
-        data[technique.value] = entry
-        rows.append(
-            [
-                technique.value,
-                f"{per_eval_ns:8.0f} ns",
-                f"{entry['speedup']:.2f}x",
-                f"{100 * entry['max_error']:.2f}%",
-                f"{entry['memory_bytes'] / 1e6:.2f} MB",
-            ]
-        )
-    text = format_table(
-        ["technique", "time/eval", "speedup", "max err", "memory"],
-        rows,
-        title="Table 1 -- integration acceleration techniques (2-D kernel, eq. 13)",
-    )
-    return ExperimentReport(name="table1", text=text, data=data)
-
-
-# ----------------------------------------------------------------------
 # Table 2 -- transistor interconnect vs FASTCAP
 # ----------------------------------------------------------------------
 def _table2_layout(quick: bool):
@@ -143,9 +80,10 @@ def _table2_layout(quick: bool):
 def run_table2(quick: bool = True) -> ExperimentReport:
     """Transistor-interconnect comparison (paper Table 2).
 
-    Columns: the FASTCAP-like multipole baseline, the instantiable-basis
-    solver without acceleration, and with acceleration (tabulated
-    subroutines, the technique the paper selected).  Rows: setup time,
+    Columns: the FASTCAP-like multipole baseline and the instantiable-basis
+    solver on the analytic kernel.  The paper's "w/ accel" column is not
+    reproduced: its tabulated subroutines are slower than the vectorised
+    closed forms here (see ``docs/benchmarks.md``).  Rows: setup time,
     total time, memory, and accuracy against the refined PWC reference.
     """
     layout = _table2_layout(quick)
@@ -158,11 +96,7 @@ def run_table2(quick: bool = True) -> ExperimentReport:
 
     fastcap = get_backend("fastcap").extract(layout, cells_per_edge=3 if quick else 4)
 
-    instantiable = get_backend("instantiable")
-    plain = instantiable.extract(layout, config=ExtractionConfig(acceleration=None))
-    accelerated = instantiable.extract(
-        layout, config=ExtractionConfig(acceleration=AccelerationTechnique.FAST_SUBROUTINES)
-    )
+    instantiable = get_backend("instantiable").extract(layout)
 
     def error(capacitance: np.ndarray) -> float:
         return compare_capacitance(capacitance, reference).max_relative_error
@@ -175,19 +109,12 @@ def run_table2(quick: bool = True) -> ExperimentReport:
             "unknowns": fastcap.num_panels,
             "error": error(fastcap.capacitance),
         },
-        "instantiable w/o accel": {
-            "setup_seconds": plain.setup_seconds,
-            "total_seconds": plain.total_seconds,
-            "memory_bytes": plain.memory_bytes,
-            "unknowns": plain.num_basis_functions,
-            "error": error(plain.capacitance),
-        },
-        "instantiable w/ accel": {
-            "setup_seconds": accelerated.setup_seconds,
-            "total_seconds": accelerated.total_seconds,
-            "memory_bytes": accelerated.memory_bytes,
-            "unknowns": accelerated.num_basis_functions,
-            "error": error(accelerated.capacitance),
+        "instantiable": {
+            "setup_seconds": instantiable.setup_seconds,
+            "total_seconds": instantiable.total_seconds,
+            "memory_bytes": instantiable.memory_bytes,
+            "unknowns": instantiable.num_basis_functions,
+            "error": error(instantiable.capacitance),
         },
     }
     rows = []
@@ -203,17 +130,17 @@ def run_table2(quick: bool = True) -> ExperimentReport:
             ]
         )
     speedup = columns["FASTCAP-like"]["total_seconds"] / max(
-        columns["instantiable w/ accel"]["total_seconds"], 1e-12
+        columns["instantiable"]["total_seconds"], 1e-12
     )
     memory_ratio = columns["FASTCAP-like"]["memory_bytes"] / max(
-        columns["instantiable w/ accel"]["memory_bytes"], 1.0
+        columns["instantiable"]["memory_bytes"], 1.0
     )
     text = format_table(
         ["solver", "unknowns", "setup", "total", "memory", "error vs ref"],
         rows,
         title=(
             "Table 2 -- transistor interconnect "
-            f"(instantiable w/ accel is {speedup:.1f}x faster than FASTCAP-like, "
+            f"(instantiable is {speedup:.1f}x faster than FASTCAP-like, "
             f"{memory_ratio:.1f}x less memory)"
         ),
     )
@@ -447,7 +374,6 @@ def run_fig2(separation: float = 0.5e-6, quick: bool = True) -> ExperimentReport
 # Command-line entry point
 # ----------------------------------------------------------------------
 _EXPERIMENTS = {
-    "table1": lambda quick: run_table1(samples=5_000 if quick else 20_000),
     "table2": run_table2,
     "table3": run_table3,
     "fig2": lambda quick: run_fig2(quick=quick),

@@ -46,7 +46,8 @@ class ExtractionResult:
         construction / matrix fill) and of the solve plus capacitance
         post-processing.
     memory_bytes:
-        Memory of the stored system operator plus any acceleration tables.
+        Memory of the stored system operator (the Galerkin backends add
+        their incidence matrix; ``frw`` counts its scene boxes).
     parallel_setup:
         Per-node workload/timing details when a parallel mode was used.
     metadata:

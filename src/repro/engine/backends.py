@@ -55,7 +55,7 @@ class InstantiableBackend:
 
     Options are either a prebuilt ``config=ExtractionConfig(...)`` or the
     keyword fields of :class:`~repro.core.config.ExtractionConfig`
-    (``tolerance``, ``acceleration``, ``parallel_mode``, ``num_nodes``, ...).
+    (``tolerance``, ``parallel_mode``, ``num_nodes``, ``instantiation``, ...).
     """
 
     name = "instantiable"

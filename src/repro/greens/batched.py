@@ -92,11 +92,12 @@ Evaluation categories (identical decisions to
   :class:`~repro.basis.templates.BoundArchProfile` family fall back to the
   per-pair reference integrator.
 
-Near and singular pairs always use the exact closed forms
-(:func:`~repro.greens.indefinite.indefinite_integral` and
-:func:`~repro.greens.collocation.collocation_from_deltas`); only a caller's
-``collocation_fn`` -- one of the Section 4.2 acceleration techniques --
-replaces the definite rectangle-potential evaluations.
+Near and singular pairs, and every rectangle-potential evaluation, use the
+exact closed forms (:func:`~repro.greens.indefinite.indefinite_integral`
+and :func:`~repro.greens.collocation.collocation_from_deltas`).  The
+paper's Section 4.2 tabulates or fits them instead; none of its four
+techniques beat these vectorised expressions in NumPy and two returned
+wrong capacitances, so they are not reproduced (``docs/benchmarks.md``).
 
 Agreement with the entry-wise ``template_pair`` reference is asserted to
 1e-10 by the hypothesis property suite in
@@ -110,7 +111,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -487,9 +488,6 @@ class BatchedKernelCore:
         Absolute permittivity of the uniform medium.
     policy:
         Approximation-distance policy; defaults to the paper's 1 %.
-    collocation_fn:
-        Override of the definite rectangle-potential evaluator (the
-        Section 4.2 acceleration techniques plug in here).
     order_near, order_far:
         Gauss-Legendre orders for nearby / well-separated outer quadratures.
     """
@@ -499,7 +497,6 @@ class BatchedKernelCore:
         arrays: TemplateArrays,
         permittivity: float,
         policy: ApproximationPolicy | None = None,
-        collocation_fn: Callable | None = None,
         order_near: int = 6,
         order_far: int = 3,
     ):
@@ -512,9 +509,6 @@ class BatchedKernelCore:
         self.policy = policy if policy is not None else ApproximationPolicy()
         self.order_near = int(order_near)
         self.order_far = int(order_far)
-        self.collocation_fn = (
-            collocation_fn if collocation_fn is not None else collocation_from_deltas
-        )
 
         u_axis, v_axis = arrays.tangential_axes()
         self._u_axis = u_axis
@@ -542,7 +536,6 @@ class BatchedKernelCore:
         self.integrator = GalerkinIntegrator(
             permittivity,
             policy=self.policy,
-            collocation_fn=self.collocation_fn,
             order_near=order_near,
             order_far=order_far,
         )
@@ -999,7 +992,7 @@ class BatchedKernelCore:
         x = grid.coordinate(u_ax)
         y = grid.coordinate(v_ax)
         z = grid.coordinate(g.normal_axis[t]) - g.offset[t][:, None]
-        return self.collocation_fn(
+        return collocation_from_deltas(
             x - g.lo[u_ax, t][:, None],
             x - g.hi[u_ax, t][:, None],
             y - g.lo[v_ax, t][:, None],
@@ -1022,7 +1015,7 @@ class BatchedKernelCore:
         x = g.centroid[u_ax, small]
         y = g.centroid[v_ax, small]
         z = g.centroid[g.normal_axis[large], small] - g.offset[large]
-        potential = self.collocation_fn(
+        potential = collocation_from_deltas(
             x - g.lo[u_ax, large],
             x - g.hi[u_ax, large],
             y - g.lo[v_ax, large],

@@ -82,9 +82,7 @@ def collocation_from_deltas(
     """Definite rectangle potential from corner coordinate differences.
 
     ``a1 = x - x'_1``, ``a2 = x - x'_2``, ``b1 = y - y'_1``, ``b2 = y - y'_2``
-    and ``c`` is the out-of-plane offset.  This is the signature shared by
-    the acceleration techniques of Section 4, which replace the corner
-    function (or the whole definite integral) with cheaper approximations.
+    and ``c`` is the out-of-plane offset.
 
     Algebraically this is the signed 4-corner sum of
     :func:`collocation_corner`, but evaluated in a fused form that shares

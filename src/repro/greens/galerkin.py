@@ -20,17 +20,13 @@ Evaluation strategy (paper Section 4.1):
 * templates with 1-D shape variation: Gauss quadrature along the varying
   direction(s), analytic strip/rectangle integrals for the remaining
   directions -- this is exactly the rearrangement of paper eq. (7).
-
-The collocation evaluation can be swapped for one of the acceleration
-techniques of Section 4.2 by passing a different ``collocation_fn`` (see
-:mod:`repro.accel.engine`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -41,11 +37,6 @@ from repro.greens.policy import ApproximationPolicy, EvaluationLevel
 from repro.greens.quadrature import gauss_legendre_interval
 
 __all__ = ["ShapeProfile", "GalerkinIntegrator", "IntegrationCounters"]
-
-#: Signature of a collocation evaluator: ``f(a1, a2, b1, b2, c)`` returning
-#: the definite rectangle potential for corner coordinate differences.
-CollocationFn = Callable[..., np.ndarray]
-
 
 class ShapeProfile(Protocol):
     """A 1-D template shape along one tangential axis of a panel.
@@ -106,10 +97,6 @@ class GalerkinIntegrator:
         Absolute permittivity of the uniform medium.
     policy:
         Approximation-distance policy; defaults to the paper's 1 % tolerance.
-    collocation_fn:
-        Evaluator for the definite 2-D rectangle potential from corner
-        coordinate differences.  Defaults to the exact closed form; the
-        acceleration engines substitute their tabulated/fitted versions.
     order_near, order_far:
         Gauss-Legendre orders used for outer quadratures on nearby and
         well-separated pairs respectively.
@@ -119,7 +106,6 @@ class GalerkinIntegrator:
         self,
         permittivity: float,
         policy: ApproximationPolicy | None = None,
-        collocation_fn: CollocationFn | None = None,
         order_near: int = 6,
         order_far: int = 3,
     ):
@@ -127,7 +113,6 @@ class GalerkinIntegrator:
             raise ValueError(f"permittivity must be positive, got {permittivity}")
         self.permittivity = float(permittivity)
         self.policy = policy if policy is not None else ApproximationPolicy()
-        self.collocation_fn = collocation_fn if collocation_fn is not None else collocation_from_deltas
         if order_near < 1 or order_far < 1:
             raise ValueError("quadrature orders must be >= 1")
         self.order_near = int(order_near)
@@ -238,13 +223,13 @@ class GalerkinIntegrator:
         return self.order_near if separation < scale else self.order_far
 
     def _panel_potential(self, panel: Panel, points: np.ndarray) -> np.ndarray:
-        """Rectangle potential of ``panel`` at ``points`` via the configured evaluator."""
+        """Rectangle potential of ``panel`` at ``points`` (closed form)."""
         x = points[:, panel.u_axis]
         y = points[:, panel.v_axis]
         z = points[:, panel.normal_axis] - panel.offset
         u1, u2 = panel.u_range
         v1, v2 = panel.v_range
-        return self.collocation_fn(x - u1, x - u2, y - v1, y - v2, z)
+        return collocation_from_deltas(x - u1, x - u2, y - v1, y - v2, z)
 
     def _tensor_nodes(self, panel: Panel, order_u: int, order_v: int) -> tuple[np.ndarray, np.ndarray]:
         """Tensor Gauss nodes (as 3-D points) and weights over a panel."""

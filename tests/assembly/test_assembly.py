@@ -343,22 +343,6 @@ class TestParallelBackends:
         assert last == batch.num_basis_functions - 1
 
 
-class TestAcceleratedAssembly:
-    def test_fast_subroutine_assembly_close_to_exact(self, crossing_layout, permittivity):
-        from repro.accel import make_evaluator
-
-        basis_set = build_basis_set(crossing_layout)
-        exact = BatchGalerkinAssembler(basis_set, permittivity).assemble()
-        evaluator = make_evaluator("fast_subroutines")
-        accelerated = BatchGalerkinAssembler(
-            basis_set, permittivity, collocation_fn=evaluator.from_deltas
-        ).assemble()
-        # Only the quadrature/collocation categories go through the evaluator,
-        # so the matrices agree to well below the 1 % technique error.
-        scale = np.max(np.abs(exact))
-        assert np.max(np.abs(exact - accelerated)) / scale < 0.01
-
-
 class TestQuadratureRuleCache:
     def test_assembly_does_not_thrash_the_rule_cache(self, crossing_layout, permittivity):
         """The Gauss-Legendre cache must be unbounded and eviction-free.

@@ -22,7 +22,6 @@ from repro.assembly import (
     SharedMemoryAssembler,
 )
 from repro.assembly.batch import ChunkResult
-from repro.accel import make_evaluator
 from repro.assembly.distributed import PartialMatrix, _column_block
 from repro.basis import build_basis_set
 from repro.engine import get_backend
@@ -59,6 +58,10 @@ class TestProcessPools:
             basis_set, permittivity, num_nodes=2, use_processes=True
         ).assemble()
         np.testing.assert_allclose(result.matrix, reference, rtol=1e-12)
+        # Forked workers inherit the parent's assembler: the same bits as
+        # the in-process flow.
+        in_process = DistributedAssembler(basis_set, permittivity, num_nodes=2).assemble()
+        np.testing.assert_array_equal(result.matrix, in_process.matrix)
         assert result.num_nodes == 2
         assert result.communication_bytes[0] == 0
         assert all(b > 0 for b in result.communication_bytes[1:])
@@ -66,10 +69,16 @@ class TestProcessPools:
     def test_shared_pool_matches_sequential(self, crossing_layout, permittivity):
         basis_set = build_basis_set(crossing_layout)
         reference = BatchGalerkinAssembler(basis_set, permittivity).assemble()
-        result = SharedMemoryAssembler(
-            basis_set, permittivity, num_nodes=2, use_processes=True
-        ).assemble()
+        shared = SharedMemoryAssembler(basis_set, permittivity, num_nodes=2, use_processes=True)
+        result = shared.assemble()
         np.testing.assert_allclose(result.matrix, reference, rtol=1e-12)
+        # Each worker returns its own partial matrix; summing the in-process
+        # partitions the same way gives the same bits.
+        summed = sum(
+            shared.assembler.assemble_chunk(part.start, part.stop)[0]
+            for part in shared.partitions()
+        )
+        np.testing.assert_array_equal(result.matrix, summed)
         # Every worker pickles its full N x N float64 partial back.
         n = basis_set.num_basis_functions
         assert result.communication_bytes == [8 * n * n, 8 * n * n]
@@ -87,43 +96,6 @@ class TestProcessPools:
             r.num_evaluated for r in result.node_results
         )
         assert 0 < assemble.attributes["pairs_evaluated"] <= assemble.attributes["pairs"]
-
-
-class TestAcceleratedProcessPools:
-    """Workers inherit the parent's assembler, so they run its evaluator."""
-
-    @pytest.fixture
-    def evaluator(self):
-        return make_evaluator("fast_subroutines").from_deltas
-
-    def test_distributed_pool_equals_in_process(self, crossing_layout, permittivity, evaluator):
-        basis_set = build_basis_set(crossing_layout)
-
-        def matrix(**options):
-            return DistributedAssembler(
-                basis_set, permittivity, num_nodes=2, **options
-            ).assemble().matrix
-
-        pooled = matrix(collocation_fn=evaluator, use_processes=True)
-        np.testing.assert_array_equal(pooled, matrix(collocation_fn=evaluator))
-        # The evaluator really ran: the exact kernel gives other bits.
-        assert not np.array_equal(pooled, matrix(use_processes=True))
-
-    def test_shared_pool_equals_summed_partitions(self, crossing_layout, permittivity, evaluator):
-        basis_set = build_basis_set(crossing_layout)
-        shared = SharedMemoryAssembler(
-            basis_set, permittivity, num_nodes=2, collocation_fn=evaluator, use_processes=True
-        )
-        pooled = shared.assemble().matrix
-        # Each worker returns its own partial matrix; summing the in-process
-        # partitions the same way gives the same bits.
-        summed = sum(
-            shared.assembler.assemble_chunk(part.start, part.stop)[0]
-            for part in shared.partitions()
-        )
-        np.testing.assert_array_equal(pooled, summed)
-        plain = SharedMemoryAssembler(basis_set, permittivity, num_nodes=2, use_processes=True)
-        assert not np.array_equal(pooled, plain.assemble().matrix)
 
 
 class TestPartialMatrixPipeTransfer:

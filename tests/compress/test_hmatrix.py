@@ -17,7 +17,6 @@ from repro.compress.hmatrix import (
     build_hmatrix,
 )
 from repro.geometry import generators
-from repro.greens.collocation import collocation_from_deltas
 
 
 @pytest.fixture(scope="module")
@@ -149,22 +148,6 @@ class TestHMatrix:
         np.testing.assert_allclose(
             hmatrix.matmat(x), dense_reference @ x, rtol=1e-5, atol=0
         )
-
-    @pytest.mark.multiprocess
-    def test_custom_collocation_runs_in_process_workers(self, refined_bus, hmatrix):
-        # A lambda cannot be pickled: the forked workers inherit it with the
-        # closure over the caller's oracle.
-        layout, basis_set = refined_bus
-        custom = GalerkinEntries(
-            basis_set,
-            layout.permittivity,
-            collocation_fn=lambda *deltas: 2.0 * collocation_from_deltas(*deltas),
-        )
-        options = dict(epsilon=1e-6, leaf_size=12, eta=2.0, num_workers=2)
-        thread = build_hmatrix(custom, executor="thread", **options)
-        process = build_hmatrix(custom, executor="process", **options)
-        np.testing.assert_array_equal(process.dense(), thread.dense())
-        assert not np.array_equal(thread.dense(), hmatrix.dense())
 
     @pytest.mark.parametrize(
         "executor", ["thread", pytest.param("process", marks=pytest.mark.multiprocess)]

@@ -9,9 +9,10 @@ from repro.geometry import generators
 from repro.geometry.layout import VACUUM_PERMITTIVITY
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng() -> np.random.Generator:
-    """Deterministic random generator shared by the whole session."""
+    """A fresh deterministic generator per test, so no test's draws depend on
+    which tests ran before it."""
     return np.random.default_rng(20110605)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accel import AccelerationTechnique
 from repro.core.config import ExtractionConfig, ParallelMode
 
 
@@ -69,12 +68,6 @@ class TestValidate:
         with pytest.raises(ValueError, match="parallel_mode"):
             config.validate()
 
-    def test_rejects_unknown_acceleration_string(self):
-        config = ExtractionConfig()
-        config.acceleration = "warp-drive"
-        with pytest.raises(ValueError, match="acceleration"):
-            config.validate()
-
     def test_rejects_bad_orders_and_batch(self):
         config = ExtractionConfig()
         config.order_near = 0
@@ -88,10 +81,8 @@ class TestValidate:
     def test_validate_normalises_strings(self):
         config = ExtractionConfig()
         config.parallel_mode = "shared_memory"
-        config.acceleration = "fast_subroutines"
         config.validate()
         assert config.parallel_mode is ParallelMode.SHARED_MEMORY
-        assert config.acceleration is AccelerationTechnique.FAST_SUBROUTINES
 
     def test_constructor_rejections_still_active(self):
         with pytest.raises(ValueError):

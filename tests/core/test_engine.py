@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import multiprocessing
-
 import numpy as np
 import pytest
 
 from repro import CapacitanceExtractor, ExtractionConfig
-from repro.accel import AccelerationTechnique
 from repro.basis.instantiate import InstantiationConfig
 from repro.core.config import ParallelMode
 from repro.core.reference import reference_capacitance
@@ -22,12 +19,10 @@ class TestExtractionConfig:
     def test_defaults(self):
         config = ExtractionConfig()
         assert config.parallel_mode is ParallelMode.SERIAL
-        assert config.technique() is AccelerationTechnique.ANALYTICAL
 
     def test_string_coercion(self):
-        config = ExtractionConfig(parallel_mode="distributed", acceleration="fast_subroutines")
+        config = ExtractionConfig(parallel_mode="distributed")
         assert config.parallel_mode is ParallelMode.DISTRIBUTED
-        assert config.technique() is AccelerationTechnique.FAST_SUBROUTINES
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,40 +117,6 @@ class TestExtractorModes:
         assert result.metadata["num_nodes"] == expected
         assert len(result.metadata["node_seconds"]) == expected
         assert result.as_dict()["num_workers"] == expected
-
-    def test_accelerated_extraction_close_to_plain(self, crossing_layout):
-        plain = CapacitanceExtractor().extract(crossing_layout)
-        accelerated = CapacitanceExtractor(
-            ExtractionConfig(acceleration=AccelerationTechnique.FAST_SUBROUTINES)
-        ).extract(crossing_layout)
-        comparison = compare_capacitance(accelerated.capacitance, plain.capacitance)
-        assert comparison.max_relative_error < 0.02
-        assert accelerated.metadata["acceleration"] == "fast_subroutines"
-
-    @pytest.mark.multiprocess
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the process mode uses the fork start method",
-    )
-    def test_accelerated_process_mode_matches_in_process(self, crossing_layout):
-        """Forked workers inherit the evaluator: the same bits as in-process."""
-
-        def extract(**options):
-            config = ExtractionConfig(
-                acceleration="fast_subroutines",
-                parallel_mode="distributed",
-                num_nodes=2,
-                **options,
-            )
-            return CapacitanceExtractor(config).extract(crossing_layout)
-
-        pooled = extract(use_processes=True)
-        np.testing.assert_array_equal(pooled.capacitance, extract().capacitance)
-        assert pooled.metadata["acceleration"] == "fast_subroutines"
-        plain = CapacitanceExtractor(
-            ExtractionConfig(parallel_mode="distributed", num_nodes=2, use_processes=True)
-        ).extract(crossing_layout)
-        assert not np.array_equal(pooled.capacitance, plain.capacitance)
 
     def test_face_refinement_improves_or_matches_accuracy(self, crossing_layout):
         reference = reference_capacitance(

@@ -216,3 +216,25 @@ class TestExtractionService:
         assert service.cache_info()["size"] == 1
         service.clear_cache()
         assert service.cache_info() == {"hits": 0, "misses": 0, "size": 0, "capacity": 256}
+
+
+class TestRemovedOptions:
+    """The integration-acceleration options were deleted with their code."""
+
+    @pytest.mark.parametrize("value", ["fast_subroutines", None])
+    def test_acceleration_fails_the_request_instead_of_being_ignored(
+        self, crossing_layout, value
+    ):
+        report = ExtractionService(executor="serial").extract_batch(
+            [
+                ExtractionRequest(
+                    crossing_layout, backend="instantiable", options={"acceleration": value}
+                ),
+                ExtractionRequest(crossing_layout, backend="instantiable"),
+            ]
+        )
+        named, plain = report.statuses
+        assert named.status == "failed"
+        assert named.result is None
+        assert "acceleration" in named.error
+        assert plain.status == "completed"

@@ -222,5 +222,3 @@ class TestRemovedKernelModes:
             BatchGalerkinAssembler(basis_set, layout.permittivity, near_field="exact")
         with pytest.raises(TypeError):
             BatchGalerkinAssembler(basis_set, layout.permittivity, use_numba=False)
-        core = BatchGalerkinAssembler(basis_set, layout.permittivity).core
-        assert core.collocation_fn is collocation_from_deltas
