@@ -78,6 +78,12 @@ class TestValidate:
         with pytest.raises(ValueError, match="batch_size"):
             config.validate()
 
+    def test_rejects_removed_acceleration_option(self):
+        # The integration-acceleration techniques were deleted; naming one
+        # fails loudly rather than silently running the analytic kernel.
+        with pytest.raises(TypeError, match="acceleration"):
+            ExtractionConfig(acceleration="fast_subroutines")
+
     def test_validate_normalises_strings(self):
         config = ExtractionConfig()
         config.parallel_mode = "shared_memory"
